@@ -3,10 +3,10 @@
 //! plus a sharded-vs-per-worker cache replay and the micro-batching
 //! frontend.
 //!
-//! Prints six JSON objects (rows `serving`, `serving_dual_path`,
-//! `serving_sharded`, `serving_cache_modes`, `serving_frontend`,
-//! `serving_robustness`); `scripts/bench_snapshot.sh` appends them to the
-//! `BENCH_<date>.json` trajectory snapshot. Flags:
+//! Prints five JSON objects (rows `serving`, `serving_dual_path`,
+//! `serving_cache_modes`, `serving_frontend`, `serving_robustness`);
+//! `scripts/bench_snapshot.sh` appends them to the `BENCH_<date>.json`
+//! trajectory snapshot. Flags:
 //!
 //! * `--batches N`  — timed batches per configuration (default 30)
 //! * `--batch N`    — requests per batch (default 64)
@@ -268,167 +268,6 @@ fn main() {
         dual_warm.1,
         dual_warm.2,
         dual_warm.3,
-    );
-
-    // ---- Sharded artifact: per-shard greedy prefixes + exact merge ----
-    // Cold dense grid at threads = 1 with the cache disabled, so the cell
-    // isolates the algorithmic win: N per-shard tailored kernels cost
-    // Σ O((|C|/N)²·d) assembly instead of one O(|C|²·d) block, and the
-    // CELF merge ladder re-ranks the union with O(k·|C|) lazily-refreshed
-    // cross-shard entries. Every cell must serve lists (and log-dets)
-    // bitwise identical to the unsharded baseline; the acceptance bar is
-    // ≥ 2× at |C| = 1600 with 4 shards.
-    let shard_top = 10usize;
-    let shard_users = 400usize;
-    let shard_items = 8000usize; // |C| = 6400 needs a catalog wider than 2000
-    let shard_data = lkp_data::synthetic::generate(&SyntheticConfig {
-        n_users: shard_users,
-        n_items: shard_items,
-        n_categories: 16,
-        mean_interactions: 20.0,
-        ..Default::default()
-    });
-    let shard_kernel = train_diversity_kernel(
-        &shard_data,
-        &DiversityKernelConfig {
-            epochs: 3,
-            pairs_per_epoch: 64,
-            dim: 12,
-            ..Default::default()
-        },
-    );
-    let mut shard_rng = StdRng::seed_from_u64(11);
-    let shard_model = MatrixFactorization::new(
-        shard_users,
-        shard_items,
-        32,
-        AdamConfig::default(),
-        &mut shard_rng,
-    );
-    let shard_pool = |user: usize, c: usize| -> Vec<usize> {
-        (0..c)
-            .map(|j| (user * 37 + j * 101 + 13) % shard_items)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect()
-    };
-    let mut shard_cells = Vec::new();
-    let mut speedup_1600 = 0.0f64;
-    for &c in &[400usize, 1600, 6400] {
-        // The widest pools pay ~0.5 GFLOP of assembly per unsharded
-        // request; two requests per batch keep the cell honest but short.
-        let shard_batch = if c >= 6400 { 2usize } else { 4 };
-        let shard_reqs: Vec<RankRequest> = (0..shard_batch)
-            .map(|i| {
-                let u = (i * 53 + 5) % shard_users;
-                RankRequest::new(u, shard_pool(u, c), shard_top)
-            })
-            .collect();
-        let mut baseline: Vec<lkp_serve::RankResponse> = Vec::new();
-        let mut base_ns = 0.0f64;
-        for &shards in &[1usize, 4, 8] {
-            let mut ranker = Ranker::new(
-                RankingArtifact::snapshot(&shard_model, &shard_kernel),
-                ServeConfig {
-                    threads: 1,
-                    kernel_cache_bytes: 0, // cold: every request re-assembles
-                    artifact_shards: shards,
-                    ..Default::default()
-                },
-            );
-            let mut out = Vec::new();
-            ranker.rank_batch_into(&shard_reqs, &mut out); // warm buffers only
-            let mut best = u128::MAX;
-            for _ in 0..2 {
-                let t = Instant::now();
-                ranker.rank_batch_into(&shard_reqs, &mut out);
-                best = best.min(t.elapsed().as_nanos());
-            }
-            assert_eq!(
-                ranker.shard_fallbacks(),
-                0,
-                "no merge fallbacks on this workload (c={c} shards={shards})"
-            );
-            let ns = best as f64 / shard_batch as f64;
-            if shards == 1 {
-                baseline = out;
-                base_ns = ns;
-            } else {
-                for (a, b) in baseline.iter().zip(&out) {
-                    assert_eq!(
-                        a.items, b.items,
-                        "sharding changed a list (c={c} shards={shards})"
-                    );
-                    assert_eq!(a.log_det.to_bits(), b.log_det.to_bits());
-                }
-            }
-            let speedup = base_ns / ns;
-            if c == 1600 && shards == 4 {
-                speedup_1600 = speedup;
-                assert!(
-                    speedup >= 2.0,
-                    "sharded speedup {speedup:.2}x at |C|=1600, 4 shards under the 2x bar"
-                );
-            }
-            shard_cells.push(format!(
-                "{{\"candidates\":{c},\"shards\":{shards},\
-\"ns_per_request\":{ns:.0},\"speedup\":{speedup:.2}}}"
-            ));
-        }
-    }
-    // Warm replay at |C| = 1600, default byte budget: one unsharded dense
-    // entry is 8·(|C| + |C|²) ≈ 20.5 MB — nearly the whole 20 MiB budget,
-    // so a three-user working set thrashes (every replay lookup lands on
-    // an evicted user). Four-shard entries are quarter-sized (≈ 1.3 MB,
-    // 5.1 MB per user): the same budget keeps all three users resident
-    // and the replay round serves without any kernel assembly.
-    let (warm_shard_c, warm_shard_users) = (1600usize, 3usize);
-    let warm_shard_reqs: Vec<RankRequest> = (0..warm_shard_users)
-        .map(|u| RankRequest::new(u, shard_pool(u, warm_shard_c), shard_top))
-        .collect();
-    let mut warm_shard_rows = Vec::new();
-    for &shards in &[1usize, 4] {
-        let mut ranker = Ranker::new(
-            RankingArtifact::snapshot(&shard_model, &shard_kernel),
-            ServeConfig {
-                threads: 1,
-                artifact_shards: shards,
-                ..Default::default()
-            },
-        );
-        let mut out = Vec::new();
-        ranker.rank_batch_into(&warm_shard_reqs, &mut out); // round 1: populate
-        let before = ranker.cache_stats_detailed();
-        ranker.rank_batch_into(&warm_shard_reqs, &mut out); // round 2: replay
-        let after = ranker.cache_stats_detailed();
-        warm_shard_rows.push((
-            after.aggregate.hits - before.aggregate.hits,
-            after.aggregate.misses - before.aggregate.misses,
-            after.aggregate.resident,
-        ));
-    }
-    let (whole_warm, split_warm) = (&warm_shard_rows[0], &warm_shard_rows[1]);
-    assert_eq!(
-        split_warm.1, 0,
-        "per-shard entries must fit the budget and replay hit-only"
-    );
-    assert!(
-        whole_warm.1 > 0,
-        "unsharded 1600-candidate dense entries must thrash the same budget"
-    );
-    println!(
-        "{{\"probe\":\"serving_sharded\",\"top_n\":{shard_top},\"grid\":[{}],\
-\"speedup_1600_shards4\":{speedup_1600:.2},\"warm_candidates\":{warm_shard_c},\
-\"warm_users\":{warm_shard_users},\"warm_shards\":4,\
-\"unsharded_warm_hits\":{},\"unsharded_warm_misses\":{},\"unsharded_resident\":{},\
-\"sharded_warm_hits\":{},\"sharded_warm_misses\":{},\"sharded_resident\":{}}}",
-        shard_cells.join(","),
-        whole_warm.0,
-        whole_warm.1,
-        whole_warm.2,
-        split_warm.0,
-        split_warm.1,
-        split_warm.2,
     );
 
     // ---- Cache-mode replay: skewed users at shuffled positions ----

@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts every allocation/reallocation routed through the global allocator.
 struct CountingAllocator;
@@ -57,8 +58,19 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// The counter is process-wide, so a test thread running beside a measured
+/// section would be counted as that section's allocations. Every test holds
+/// this lock for its whole body, set-up included; a poisoned lock (an
+/// earlier test failed) is still usable.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn steady_state_lkp_apply_path_does_not_allocate() {
+    let _serial = serial();
     let data = lkp_data::synthetic::generate(&SyntheticConfig {
         n_users: 40,
         n_items: 120,
@@ -135,6 +147,7 @@ fn first_instance_allocates_then_reuse_kicks_in() {
     // Sanity check on the counter itself: the very first pass must allocate
     // (buffers grow from empty), otherwise the zero-delta assertion above
     // would be vacuous.
+    let _serial = serial();
     let data = lkp_data::synthetic::generate(&SyntheticConfig {
         n_users: 20,
         n_items: 60,

@@ -17,9 +17,6 @@
 //! * [`map_dual`] — the same greedy recursion run directly on a thin row
 //!   factor `B` (kernel `B·Bᵀ + ε·I` never materialized): `O(m·d·N)` serving
 //!   MAP with a numerical-breakdown guard for dense fallback.
-//! * [`map_merge`] — lazy-greedy merge for sharded serving: a marginal-gain
-//!   ladder that re-runs the exact MAP recursion only on heap tops, bitwise
-//!   identical to an unsharded greedy MAP over the same kernel.
 //! * [`lowrank`] — low-rank diversity kernels `K = V·Vᵀ` with log-det
 //!   gradients, used to pre-train the paper's diversity kernel (Eq. 3).
 //! * [`conditional`] — DPPs conditioned on inclusion/exclusion of item sets
@@ -45,7 +42,6 @@ pub mod kernel;
 pub mod lowrank;
 pub mod map;
 pub mod map_dual;
-pub mod map_merge;
 pub mod sampling;
 pub mod spectral_cache;
 pub mod workspace;
@@ -57,7 +53,6 @@ pub use kernel::DppKernel;
 pub use lowrank::LowRankKernel;
 pub use map::{greedy_map_with, MapResult, MapWorkspace};
 pub use map_dual::{greedy_map_dual_with, DualMapWorkspace, DUAL_BREAKDOWN_GUARD};
-pub use map_merge::{conditioned_greedy_merge, MergeGuard, MergeLadderWorkspace, MergeOutcome};
 pub use spectral_cache::{
     SpectralCache, SpectralCacheEntry, SpectralCacheStats, SpectralDecision, SpectralSnapshot,
 };

@@ -42,11 +42,8 @@ impl LintConfig {
                 "crates/dpp/src/map_dual.rs",
                 "crates/dpp/src/esp.rs",
                 "crates/dpp/src/batch.rs",
-                "crates/dpp/src/map_merge.rs",
                 "crates/serve/src/ranker.rs",
                 "crates/serve/src/cache",
-                "crates/serve/src/shard.rs",
-                "crates/runtime/src/plan.rs",
                 "crates/linalg/src/eigen.rs",
                 "crates/core/src/trainer/update.rs",
                 "crates/data/src/delta.rs",
@@ -112,15 +109,10 @@ mod tests {
     fn repo_default_scopes() {
         let c = LintConfig::repo_default();
         assert!(c.is_hot_path("crates/dpp/src/workspace.rs"));
-        assert!(c.is_hot_path("crates/dpp/src/map_merge.rs"));
         assert!(c.is_hot_path("crates/serve/src/cache/shared.rs"));
         assert!(c.is_hot_path("crates/serve/src/cache.rs"));
-        assert!(c.is_hot_path("crates/serve/src/shard.rs"));
-        assert!(c.is_hot_path("crates/runtime/src/plan.rs"));
         assert!(!c.is_hot_path("crates/serve/src/frontend/core.rs"));
         assert!(c.is_deterministic_core("crates/linalg/src/eigen.rs"));
-        assert!(c.is_deterministic_core("crates/dpp/src/map_merge.rs"));
-        assert!(c.is_lock_scope("crates/serve/src/shard.rs"));
         assert!(c.is_deterministic_core("crates/serve/src/frontend/core.rs"));
         assert!(!c.is_deterministic_core("crates/serve/src/frontend/driver.rs"));
         assert!(c.is_lock_scope("crates/serve/src/ranker.rs"));

@@ -25,11 +25,9 @@
 //! `n − 1` background workers and a single-threaded pool spawns none — the
 //! serial path stays a plain inline loop.
 
-mod plan;
 mod pool;
 mod state;
 
-pub use plan::TaskPlan;
 pub use pool::WorkerPool;
 pub use state::WorkerState;
 

@@ -1,6 +1,6 @@
 //! The persistent fork-join worker pool.
 
-use crate::{TaskPlan, WorkerState};
+use crate::WorkerState;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -285,41 +285,6 @@ impl WorkerPool {
         results.into_iter().flatten().collect()
     }
 
-    /// Executes one planned dispatch: every task `t` of `plan` runs
-    /// `f(t, &mut items[t], state)` on the worker the plan assigned it to.
-    /// This is the uneven-work counterpart of [`WorkerPool::zip_chunks`] —
-    /// the plan (built by deterministic LPT over declared costs, see
-    /// [`TaskPlan::assign`]) decides placement, so heavy tasks spread across
-    /// workers instead of landing in one contiguous chunk. Each item is
-    /// still written by exactly one worker; consumers keep the `zip_chunks`
-    /// contract that item *values* must not depend on worker identity.
-    ///
-    /// Panics if the plan's task count differs from `items.len()` or its
-    /// worker count differs from the pool width.
-    pub fn run_plan_mut<T, F>(&mut self, plan: &TaskPlan, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T, &mut WorkerState) + Sync,
-    {
-        assert_eq!(plan.len(), items.len(), "plan/items task counts differ");
-        assert_eq!(
-            plan.workers(),
-            self.threads,
-            "plan was built for a different pool width"
-        );
-        let ptr = SendPtr(items.as_mut_ptr());
-        self.run(move |worker, state| {
-            for &t in plan.assigned(worker) {
-                // SAFETY: `TaskPlan::assign` places every task index in
-                // exactly one worker's list, so across the whole dispatch
-                // each `items[t]` is exclusively borrowed by one worker;
-                // `run` does not return before every worker is done.
-                let item = unsafe { &mut *ptr.get().add(t as usize) };
-                f(t as usize, item, state);
-            }
-        });
-    }
-
     /// Borrows the caller's (worker 0's) persistent state — useful for
     /// consumers that also run work outside pool dispatches and want to
     /// share the same scratch.
@@ -557,66 +522,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(offsets, sorted);
         }
-    }
-
-    #[test]
-    fn run_plan_mut_runs_every_task_once_on_its_worker() {
-        for threads in [1, 2, 4, 7] {
-            let mut pool = WorkerPool::new(threads);
-            let costs: Vec<u64> = (0..23u64).map(|i| (i * 31) % 13 + 1).collect();
-            let mut plan = TaskPlan::new();
-            plan.assign(&costs, threads);
-            let mut items: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); costs.len()];
-            pool.run_plan_mut(&plan, &mut items, |t, item, _| {
-                *item = (t, t * 2);
-            });
-            for (t, item) in items.iter().enumerate() {
-                assert_eq!(*item, (t, t * 2), "threads={threads}");
-            }
-            // Placement observability: re-running records worker identity
-            // matching the plan's assignment.
-            let mut seen: Vec<usize> = vec![usize::MAX; costs.len()];
-            let seen_ptr = std::sync::Mutex::new(&mut seen);
-            pool.run_plan_mut(&plan, &mut items, |t, _, _| {
-                // worker index is recoverable from the plan itself
-                let w = plan.worker_of(t);
-                seen_ptr.lock().unwrap()[t] = w;
-            });
-            for (t, &w) in seen.iter().enumerate() {
-                assert_eq!(w, plan.worker_of(t));
-            }
-        }
-    }
-
-    #[test]
-    fn run_plan_mut_tasks_use_persistent_worker_state() {
-        let mut pool = WorkerPool::new(3);
-        let mut plan = TaskPlan::new();
-        plan.assign(&[1; 9], 3);
-        let mut items = vec![0usize; 9];
-        for round in 1..=3usize {
-            pool.run_plan_mut(&plan, &mut items, |_, item, state| {
-                let counter = state.get_or_default::<usize>();
-                *counter += 1;
-                *item = *counter;
-            });
-            // Each worker's counter advanced by its task count this round.
-            for (t, &v) in items.iter().enumerate() {
-                let w = plan.worker_of(t);
-                let tasks_per_round = plan.assigned(w).len();
-                assert!(v <= round * tasks_per_round, "task {t}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different pool width")]
-    fn run_plan_mut_rejects_mismatched_width() {
-        let mut pool = WorkerPool::new(2);
-        let mut plan = TaskPlan::new();
-        plan.assign(&[1, 2], 3);
-        let mut items = vec![0usize; 2];
-        pool.run_plan_mut(&plan, &mut items, |_, _, _| {});
     }
 
     #[test]

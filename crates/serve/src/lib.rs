@@ -53,7 +53,6 @@ mod artifact;
 mod cache;
 mod frontend;
 mod ranker;
-mod shard;
 
 pub use artifact::RankingArtifact;
 pub use cache::{CacheStats, ShardStats};
@@ -63,7 +62,6 @@ pub use frontend::{
     LATENCY_BUCKETS,
 };
 pub use ranker::{RankOutcome, RankRequest, RankResponse, Ranker, ServeWorkspace, StagedSwap};
-pub use shard::{ShardPartition, ShardedArtifact};
 
 /// Which backend amortizes the per-candidate-set kernel work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,18 +148,6 @@ pub struct ServeConfig {
     /// breakdown check on the first update — deterministic fault injection
     /// for exercising the fallback in tests. Ignored on the dense path.
     pub dual_guard: f64,
-    /// Number of artifact shards the ranker splits each request's kernel
-    /// work across (default 1 = the stock unsharded path; clamped to the
-    /// catalog size). With `N > 1` the candidate pool fans out by item
-    /// shard ([`ShardPartition`]), each shard assembles only its own
-    /// `O((|C|/N)²)` tailored block (dense) or `O((|C|/N)·d)` factor block
-    /// (dual) through the kernel cache, per-shard greedy MAP prefixes run
-    /// in parallel over the pool, and a lazy marginal-gain ladder
-    /// ([`lkp_dpp::conditioned_greedy_merge`]) merges the shards into a
-    /// list **bitwise identical** to unsharded serving. Cache entries are
-    /// keyed per `(user, shard)` and shrink quadratically with `N`, so
-    /// resident-set hit rates rise under the same byte budget.
-    pub artifact_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -174,7 +160,6 @@ impl Default for ServeConfig {
             cache_mode: CacheMode::PerWorker,
             kernel_form: KernelForm::Dense,
             dual_guard: lkp_dpp::DUAL_BREAKDOWN_GUARD,
-            artifact_shards: 1,
         }
     }
 }

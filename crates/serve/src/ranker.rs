@@ -1,11 +1,8 @@
 //! The batched ranker: requests in, diversified top-N lists out.
 
 use crate::cache::{CacheStats, EntryForm, KernelCache, ShardStats, SharedKernelCache};
-use crate::shard::{compose_key, split_candidates, ShardState};
-use crate::{CacheMode, KernelForm, RankingArtifact, ServeConfig, ShardPartition, ShardedArtifact};
-use lkp_dpp::{
-    greedy_map_dual_with, greedy_map_with, DualMapWorkspace, MapWorkspace, MergeLadderWorkspace,
-};
+use crate::{CacheMode, KernelForm, RankingArtifact, ServeConfig};
+use lkp_dpp::{greedy_map_dual_with, greedy_map_with, DualMapWorkspace, MapWorkspace};
 use lkp_linalg::Matrix;
 use lkp_models::Recommender;
 use lkp_runtime::WorkerPool;
@@ -127,7 +124,7 @@ pub struct ServeWorkspace {
     q: Vec<f64>,
     l: Matrix,
     map: MapWorkspace,
-    pub(crate) cache: KernelCache,
+    cache: KernelCache,
     /// Staging copy of a shared-cache block (held while the shard lock
     /// is already released).
     shared_sub: Matrix,
@@ -140,13 +137,6 @@ pub struct ServeWorkspace {
     /// Requests this worker abandoned to the dense fallback after a dual
     /// numerical breakdown.
     dual_fallbacks: u64,
-    /// Requests this worker re-served on the stock unsharded path after the
-    /// sharded merge ladder declined (or a per-shard prefix broke down).
-    pub(crate) shard_fallbacks: u64,
-    /// The sharded merge ladder's reusable state (heap, replayed Cholesky
-    /// rows) and its diagonal staging buffer.
-    pub(crate) merge: MergeLadderWorkspace,
-    pub(crate) merge_diag: Vec<f64>,
     /// Duplicate-candidate scratch: index permutation sorted by
     /// `(item, position)`, per-position duplicate mask, and the rebuilt
     /// first-occurrence list when duplicates are present.
@@ -175,10 +165,6 @@ pub struct Ranker<M> {
     /// [`CacheMode::Sharded`] (and caching is enabled); `None` keeps the
     /// per-worker backend.
     shared: Option<SharedKernelCache>,
-    /// Sharded-serving state ([`ServeConfig::artifact_shards`] > 1): the
-    /// item partition plus the pooled two-phase buffers. `None` serves the
-    /// stock unsharded path.
-    shard: Option<Box<ShardState>>,
     /// Artifact generation, stamped on every response and bumped by
     /// [`Ranker::commit_swap`].
     generation: u64,
@@ -193,11 +179,6 @@ pub struct StagedSwap<M> {
     artifact: RankingArtifact<M>,
     shared: Option<SharedKernelCache>,
     per_worker: Option<KernelCache>,
-    /// The new generation's item partition when `config.artifact_shards`
-    /// shards the ranker — rebuilt from the *new* artifact's popularity
-    /// proxy and installed by the same [`Ranker::commit_swap`] that bumps
-    /// the generation, so all shards cut over atomically between batches.
-    partition: Option<ShardPartition>,
     warmed: usize,
 }
 
@@ -213,15 +194,9 @@ impl<M: Recommender> StagedSwap<M> {
         plan: &[(usize, Vec<usize>)],
     ) -> Self {
         let budget = config.kernel_cache_bytes;
-        // Sharded configs re-partition against the *new* artifact's
-        // popularity proxy; prewarm then stages per-(user, shard) pieces
-        // under the composed keys the sharded path will look up.
-        let eff = effective_shards(config, artifact.n_items());
-        let partition = (eff > 1).then(|| ShardPartition::build(&artifact, eff));
         // lint:allow(hotpath-alloc): staging runs off the serving path — the
         // live ranker keeps serving until the atomic swap.
         let (mut order, mut dup, mut dedup) = (Vec::new(), Vec::new(), Vec::new());
-        let mut per_shard = Vec::new(); // lint:allow(hotpath-alloc): staging
         let mut warmed = 0;
         let mut shared = None;
         let mut per_worker = None;
@@ -236,16 +211,7 @@ impl<M: Recommender> StagedSwap<M> {
                         let key =
                             dedup_first_occurrence(candidates, &mut order, &mut dup, &mut dedup);
                         let form = entry_form(config, key.len());
-                        if prewarm_split(
-                            partition.as_ref(),
-                            *user,
-                            key,
-                            form,
-                            &mut per_shard,
-                            |k, cands, form| {
-                                cache.prewarm(k, cands, artifact.kernel(), budget, form)
-                            },
-                        ) {
+                        if cache.prewarm(*user, key, artifact.kernel(), budget, form) {
                             warmed += 1;
                         }
                     }
@@ -263,16 +229,7 @@ impl<M: Recommender> StagedSwap<M> {
                         let key =
                             dedup_first_occurrence(candidates, &mut order, &mut dup, &mut dedup);
                         let form = entry_form(config, key.len());
-                        if prewarm_split(
-                            partition.as_ref(),
-                            *user,
-                            key,
-                            form,
-                            &mut per_shard,
-                            |k, cands, form| {
-                                cache.prewarm(k, cands, artifact.kernel(), budget, form)
-                            },
-                        ) {
+                        if cache.prewarm(*user, key, artifact.kernel(), budget, form) {
                             warmed += 1;
                         }
                     }
@@ -284,7 +241,6 @@ impl<M: Recommender> StagedSwap<M> {
             artifact,
             shared,
             per_worker,
-            partition,
             warmed,
         }
     }
@@ -301,36 +257,8 @@ impl<M: Recommender> StagedSwap<M> {
 }
 
 impl<M: Recommender + Sync> Ranker<M> {
-    /// Builds a ranker (spawning the pool) from a frozen artifact. With
-    /// [`ServeConfig::artifact_shards`] > 1 the catalog is partitioned here
-    /// ([`ShardedArtifact::split`]) and requests take the two-phase sharded
-    /// path.
+    /// Builds a ranker (spawning the pool) from a frozen artifact.
     pub fn new(artifact: RankingArtifact<M>, config: ServeConfig) -> Self {
-        let eff = effective_shards(&config, artifact.n_items());
-        if eff > 1 {
-            return Ranker::from_sharded(ShardedArtifact::split(artifact, eff), config);
-        }
-        Ranker::from_parts(artifact, None, config)
-    }
-
-    /// Builds a ranker from an already-partitioned artifact. The
-    /// partition's shard count governs (a 1-shard split serves the stock
-    /// path); [`ServeConfig::artifact_shards`] is ignored in favor of the
-    /// precomputed partition, so a split shipped from elsewhere serves
-    /// exactly as it was cut.
-    pub fn from_sharded(sharded: ShardedArtifact<M>, config: ServeConfig) -> Self {
-        let (artifact, partition) = sharded.into_parts();
-        // lint:allow(hotpath-alloc): one-time ranker construction; the boxed
-        // state is reused for the ranker's whole lifetime.
-        let shard = (partition.n_shards() > 1).then(|| Box::new(ShardState::new(partition)));
-        Ranker::from_parts(artifact, shard, config)
-    }
-
-    fn from_parts(
-        artifact: RankingArtifact<M>,
-        shard: Option<Box<ShardState>>,
-        config: ServeConfig,
-    ) -> Self {
         let pool = WorkerPool::new(config.threads);
         let shared = match config.cache_mode {
             CacheMode::Sharded { shards } if config.kernel_cache_bytes > 0 => {
@@ -343,14 +271,8 @@ impl<M: Recommender + Sync> Ranker<M> {
             pool,
             config,
             shared,
-            shard,
             generation: 1,
         }
-    }
-
-    /// The item partition when this ranker serves a sharded artifact.
-    pub fn partition(&self) -> Option<&ShardPartition> {
-        self.shard.as_deref().map(|st| &st.partition)
     }
 
     /// The frozen artifact this ranker serves.
@@ -398,18 +320,6 @@ impl<M: Recommender + Sync> Ranker<M> {
         let config = &self.config;
         let shared = self.shared.as_ref();
         let generation = self.generation;
-        if let Some(st) = self.shard.as_deref_mut() {
-            st.rank_batch(
-                artifact,
-                config,
-                shared,
-                &mut self.pool,
-                requests,
-                out,
-                generation,
-            );
-            return;
-        }
         self.pool
             .zip_chunks(requests, out, |_, reqs, resps, state| {
                 let ws = state.get_or_default::<ServeWorkspace>();
@@ -423,20 +333,9 @@ impl<M: Recommender + Sync> Ranker<M> {
     /// the low-latency path for un-batched traffic. Panic/failure isolation
     /// matches [`Ranker::rank_batch_into`].
     pub fn rank_one(&mut self, request: &RankRequest) -> RankResponse {
+        let mut resp = RankResponse::default();
         let shared = self.shared.as_ref();
         let generation = self.generation;
-        if let Some(st) = self.shard.as_deref_mut() {
-            let state = self.pool.caller_state();
-            return st.rank_one(
-                &self.artifact,
-                &self.config,
-                shared,
-                state,
-                request,
-                generation,
-            );
-        }
-        let mut resp = RankResponse::default();
         let ws = self.pool.caller_state().get_or_default::<ServeWorkspace>();
         serve_request(
             &self.artifact,
@@ -474,7 +373,6 @@ impl<M: Recommender + Sync> Ranker<M> {
             artifact,
             shared,
             per_worker,
-            partition,
             warmed,
         } = staged;
         assert_eq!(
@@ -503,13 +401,6 @@ impl<M: Recommender + Sync> Ranker<M> {
             retired += retired_pw.into_inner();
         }
         self.artifact = artifact;
-        // Install the new generation's partition with the artifact, before
-        // the single generation bump: batches see either the old (artifact,
-        // partition, caches) triple or the new one — all shards commit
-        // atomically, never a mix.
-        if let (Some(partition), Some(st)) = (partition, self.shard.as_deref_mut()) {
-            st.partition = partition;
-        }
         self.generation += 1;
         (warmed, retired)
     }
@@ -567,16 +458,11 @@ impl<M: Recommender + Sync> Ranker<M> {
         let budget = self.config.kernel_cache_bytes;
         let artifact = &self.artifact;
         let config = &self.config;
-        // Sharded rankers warm each pair's per-shard pieces under the
-        // composed `(user, shard)` keys the serving path looks up; a pair
-        // counts warm only when *every* non-empty piece is resident.
-        let partition = self.shard.as_deref().map(|st| &st.partition);
         match &self.shared {
             Some(cache) => {
                 // lint:allow(hotpath-alloc): prewarm is a cold warm-up pass
                 // that runs before traffic, not per request.
                 let (mut order, mut dup, mut dedup) = (Vec::new(), Vec::new(), Vec::new());
-                let mut per_shard = Vec::new(); // lint:allow(hotpath-alloc): warm-up pass
                 let mut warmed = 0;
                 for (user, candidates) in pairs {
                     if !prewarmable(artifact, *user, candidates) {
@@ -584,9 +470,7 @@ impl<M: Recommender + Sync> Ranker<M> {
                     }
                     let key = dedup_first_occurrence(candidates, &mut order, &mut dup, &mut dedup);
                     let form = entry_form(config, key.len());
-                    if prewarm_split(partition, *user, key, form, &mut per_shard, |k, c, f| {
-                        cache.prewarm(k, c, artifact.kernel(), budget, f)
-                    }) {
+                    if cache.prewarm(*user, key, artifact.kernel(), budget, form) {
                         warmed += 1;
                     }
                 }
@@ -598,9 +482,6 @@ impl<M: Recommender + Sync> Ranker<M> {
                 let warmed = AtomicUsize::new(usize::MAX);
                 self.pool.run(|_, state| {
                     let ws = state.get_or_default::<ServeWorkspace>();
-                    // lint:allow(hotpath-alloc): per-worker warm-up pass,
-                    // not the request path.
-                    let mut per_shard = Vec::new();
                     let mut local = 0;
                     for (user, candidates) in pairs {
                         if !prewarmable(artifact, *user, candidates) {
@@ -613,9 +494,10 @@ impl<M: Recommender + Sync> Ranker<M> {
                             &mut ws.dedup,
                         );
                         let form = entry_form(config, key.len());
-                        if prewarm_split(partition, *user, key, form, &mut per_shard, |k, c, f| {
-                            ws.cache.prewarm(k, c, artifact.kernel(), budget, f)
-                        }) {
+                        if ws
+                            .cache
+                            .prewarm(*user, key, artifact.kernel(), budget, form)
+                        {
                             local += 1;
                         }
                     }
@@ -656,23 +538,6 @@ impl<M: Recommender + Sync> Ranker<M> {
         self.pool.run(|_, state| {
             if let Some(ws) = state.get_mut::<ServeWorkspace>() {
                 count.fetch_add(ws.dual_fallbacks, Ordering::Relaxed);
-            }
-        });
-        count.into_inner()
-    }
-
-    /// How many requests the sharded path re-served on the stock unsharded
-    /// path (summed across workers; always 0 with `artifact_shards = 1`).
-    /// A fallback happens when a per-shard prefix breaks down or the lazy
-    /// merge ladder cannot certify bitwise parity; the re-served response
-    /// is bit-identical to unsharded serving by construction, so — like
-    /// [`Ranker::dual_fallbacks`] — a non-zero count is a performance
-    /// signal, not a correctness one.
-    pub fn shard_fallbacks(&mut self) -> u64 {
-        let count = std::sync::atomic::AtomicU64::new(0);
-        self.pool.run(|_, state| {
-            if let Some(ws) = state.get_mut::<ServeWorkspace>() {
-                count.fetch_add(ws.shard_fallbacks, Ordering::Relaxed);
             }
         });
         count.into_inner()
@@ -722,54 +587,8 @@ impl<M> std::fmt::Debug for Ranker<M> {
         f.debug_struct("Ranker")
             .field("threads", &self.pool.threads())
             .field("cache_mode", &self.config.cache_mode)
-            .field(
-                "artifact_shards",
-                &self
-                    .shard
-                    .as_deref()
-                    .map_or(1, |st| st.partition.n_shards()),
-            )
             .field("generation", &self.generation)
             .finish()
-    }
-}
-
-/// The shard count a config yields on a given catalog: clamped to
-/// `1..=n_items` so degenerate configs degrade to the stock path instead
-/// of creating empty shards.
-fn effective_shards(config: &ServeConfig, n_items: usize) -> usize {
-    config.artifact_shards.clamp(1, n_items.max(1))
-}
-
-/// Prewarms one `(user, key)` pair, split per shard when `partition` is
-/// present (each non-empty piece under its composed `(user, shard)` key —
-/// exactly the lookups the sharded serving path performs). Returns whether
-/// the pair is fully warm: unsharded, the single entry; sharded, *every*
-/// non-empty piece.
-fn prewarm_split(
-    partition: Option<&ShardPartition>,
-    user: usize,
-    key: &[usize],
-    form: EntryForm,
-    per_shard: &mut Vec<Vec<usize>>,
-    mut warm: impl FnMut(usize, &[usize], EntryForm) -> bool,
-) -> bool {
-    match partition {
-        None => warm(user, key, form),
-        Some(p) => {
-            split_candidates(p, key, per_shard);
-            let n = p.n_shards();
-            let mut all = true;
-            for (s, piece) in per_shard[..n].iter().enumerate() {
-                if piece.is_empty() {
-                    continue;
-                }
-                if !warm(compose_key(user, n, s), piece, form) {
-                    all = false;
-                }
-            }
-            all
-        }
     }
 }
 
@@ -778,7 +597,7 @@ fn prewarm_split(
 /// the *effective* set (the head size for degraded requests), so a degraded
 /// frontend request and the equivalent direct capped request route — and
 /// serve — identically.
-pub(crate) fn entry_form(config: &ServeConfig, len: usize) -> EntryForm {
+fn entry_form(config: &ServeConfig, len: usize) -> EntryForm {
     match config.kernel_form {
         KernelForm::LowRankDual { min_candidates } if len >= min_candidates => EntryForm::Factor,
         _ => EntryForm::Dense,
@@ -823,7 +642,7 @@ fn prewarmable<M: Recommender>(
 /// by `(item, position)` finds duplicates and rebuilds the deduplicated
 /// list in `O(|C| log |C|)`; the clean common case pays one sort and no
 /// rebuild (the input slice is returned untouched).
-pub(crate) fn dedup_first_occurrence<'a>(
+fn dedup_first_occurrence<'a>(
     candidates: &'a [usize],
     order: &mut Vec<u32>,
     dup: &mut Vec<bool>,
@@ -861,7 +680,7 @@ pub(crate) fn dedup_first_occurrence<'a>(
 /// poisons only its own response slot ([`RankOutcome::Panicked`]), never
 /// the batch, the pool barrier, or the pump thread. The workspace is safe
 /// to reuse afterwards — every scratch buffer is clear-and-refill.
-pub(crate) fn serve_request<M: Recommender>(
+fn serve_request<M: Recommender>(
     artifact: &RankingArtifact<M>,
     config: &ServeConfig,
     shared: Option<&SharedKernelCache>,

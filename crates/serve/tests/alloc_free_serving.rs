@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts every allocation/reallocation routed through the global allocator.
 struct CountingAllocator;
@@ -58,6 +59,16 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// The counter is process-wide, so a test thread running beside a measured
+/// section would be counted as that section's allocations. Every test holds
+/// this lock for its whole body, set-up included; a poisoned lock (an
+/// earlier test failed) is still usable.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn data() -> Dataset {
@@ -123,10 +134,9 @@ fn dedup(mut xs: Vec<usize>) -> Vec<usize> {
     xs
 }
 
-/// Warm-path zero-allocation assertion for one kernel form and shard count
-/// (`shards = 1` is the stock path; `shards > 1` exercises the two-phase
-/// sharded path — per-shard prefix loops and the merge ladder included).
-fn assert_warm_path_alloc_free(form: KernelForm, shards: usize, label: &str) {
+/// Warm-path zero-allocation assertion for one kernel form.
+fn assert_warm_path_alloc_free(form: KernelForm, label: &str) {
+    let _serial = serial();
     let data = data();
     let (model, kernel) = trained(&data);
     // threads: 1 → the caller is the only worker; dispatch is inline with
@@ -136,7 +146,6 @@ fn assert_warm_path_alloc_free(form: KernelForm, shards: usize, label: &str) {
         ServeConfig {
             threads: 1,
             kernel_form: form,
-            artifact_shards: shards,
             ..Default::default()
         },
     );
@@ -169,28 +178,13 @@ fn assert_warm_path_alloc_free(form: KernelForm, shards: usize, label: &str) {
 
 #[test]
 fn warm_dense_serving_does_not_allocate() {
-    assert_warm_path_alloc_free(KernelForm::Dense, 1, "dense");
+    assert_warm_path_alloc_free(KernelForm::Dense, "dense");
 }
 
 #[test]
 fn warm_dual_serving_does_not_allocate() {
     assert_warm_path_alloc_free(
         KernelForm::LowRankDual { min_candidates: 0 },
-        1,
         "low-rank dual",
-    );
-}
-
-#[test]
-fn warm_sharded_dense_serving_does_not_allocate() {
-    assert_warm_path_alloc_free(KernelForm::Dense, 3, "sharded dense");
-}
-
-#[test]
-fn warm_sharded_dual_serving_does_not_allocate() {
-    assert_warm_path_alloc_free(
-        KernelForm::LowRankDual { min_candidates: 0 },
-        3,
-        "sharded low-rank dual",
     );
 }

@@ -8,7 +8,9 @@ use lkp_data::{Dataset, SyntheticConfig};
 use lkp_dpp::{map, DppKernel, LowRankKernel};
 use lkp_models::{MatrixFactorization, Recommender};
 use lkp_nn::AdamConfig;
-use lkp_serve::{CacheMode, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig};
+use lkp_serve::{
+    CacheMode, KernelForm, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -122,6 +124,114 @@ fn served_lists_match_offline_greedy_map() {
             !resp.items.is_empty(),
             "user {} got an empty list",
             req.user
+        );
+    }
+
+    // Small pools (|C| ≤ 12) against the slow references: determinant
+    // greedy recomputed from scratch each step, and exhaustive MAP. Covers
+    // both kernel forms, a degraded rerank head, and the dual path's
+    // injected-breakdown dense fallback.
+    let n_items = data.n_items();
+    let small: Vec<RankRequest> = (0..data.n_users())
+        .step_by(3)
+        .flat_map(|u| {
+            [5usize, 8, 12].into_iter().flat_map(move |count| {
+                [1usize, 3, 5]
+                    .into_iter()
+                    .map(move |top_n| RankRequest::new(u, candidates(u, n_items, count), top_n))
+            })
+        })
+        .collect();
+    let dual = KernelForm::LowRankDual { min_candidates: 0 };
+    let guard = lkp_dpp::DUAL_BREAKDOWN_GUARD;
+    let cases = [
+        ("dense", KernelForm::Dense, guard, 0),
+        ("dual", dual, guard, 0),
+        ("dense head", KernelForm::Dense, guard, 6),
+        ("dual head", dual, guard, 6),
+        ("dual fallback", dual, -1.0, 0),
+    ];
+    for (label, kernel_form, dual_guard, head) in cases {
+        let mut ranker = Ranker::new(
+            RankingArtifact::snapshot(&model, &kernel),
+            ServeConfig {
+                threads: 2,
+                kernel_form,
+                dual_guard,
+                ..Default::default()
+            },
+        );
+        let reqs: Vec<RankRequest> = small
+            .iter()
+            .map(|r| r.clone().with_rerank_head(head))
+            .collect();
+        let responses = ranker.rank_batch(&reqs);
+        for (req, resp) in reqs.iter().zip(&responses) {
+            check_against_slow_references(&model, &kernel, req, resp, label);
+        }
+        if dual_guard < 0.0 {
+            assert_eq!(ranker.dual_fallbacks(), reqs.len() as u64, "{label}");
+        }
+    }
+}
+
+/// The candidates a request actually reranks: the whole pool, or — for a
+/// degraded request — its `rerank_head` highest-scoring candidates (ties by
+/// position), kept in candidate order.
+fn reranked_set(model: &MatrixFactorization, req: &RankRequest) -> Vec<usize> {
+    let c = req.candidates.len();
+    if req.rerank_head == 0 || req.rerank_head >= c {
+        return req.candidates.clone();
+    }
+    let scores = model.score_items(req.user, &req.candidates);
+    let mut order: Vec<usize> = (0..c).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    order.truncate(req.rerank_head);
+    order.sort_unstable();
+    order.into_iter().map(|i| req.candidates[i]).collect()
+}
+
+/// Checks one served response against naive determinant greedy (same items,
+/// `log_det` within 1e-9) and exhaustive MAP (never beaten by more than
+/// 1e-9, and matched at `top_n = 1`).
+fn check_against_slow_references(
+    model: &MatrixFactorization,
+    kernel: &LowRankKernel,
+    req: &RankRequest,
+    resp: &RankResponse,
+    label: &str,
+) {
+    let set = reranked_set(model, req);
+    assert_eq!(resp.degraded, set.len() < req.candidates.len(), "{label}");
+    let scores = model.score_items(req.user, &set);
+    let k_sub = kernel.normalized().submatrix(&set).unwrap();
+    let tailored = lkp_core::objective::tailored_kernel(&scores, &k_sub).unwrap();
+    let k = req.top_n.min(set.len());
+    let ctx = format!("{label}: user {} |C| {} top_n {}", req.user, set.len(), k);
+
+    let naive = map::greedy_map_naive(&tailored, k).unwrap();
+    let naive_items: Vec<usize> = naive.items.iter().map(|&i| set[i]).collect();
+    assert_eq!(resp.items, naive_items, "{ctx}: items differ from naive");
+    assert!(
+        (resp.log_det - naive.log_det).abs() <= 1e-9,
+        "{ctx}: log_det {} vs naive {}",
+        resp.log_det,
+        naive.log_det
+    );
+
+    let best = map::exhaustive_map(&tailored, resp.items.len()).unwrap();
+    assert!(
+        resp.log_det <= best.log_det + 1e-9,
+        "{ctx}: log_det {} beats the exhaustive optimum {}",
+        resp.log_det,
+        best.log_det
+    );
+    if k == 1 {
+        assert!(
+            (resp.log_det - best.log_det).abs() <= 1e-9,
+            "{ctx}: top-1 log_det {} vs exhaustive {}",
+            resp.log_det,
+            best.log_det
         );
     }
 }
@@ -398,41 +508,6 @@ fn stats_reads_never_materialize_workspaces() {
     assert!(resident > 0);
     ranker.cache_stats();
     assert_eq!(ranker.resident_workspaces(), resident);
-
-    // The sharded path aggregates per-(user, shard) entries through the same
-    // optional-state accessors: idle stats reads (including the new
-    // shard_fallbacks counter) still create nothing, and post-traffic
-    // accounting sums real per-shard lookups across workers.
-    let mut sharded = Ranker::new(
-        RankingArtifact::snapshot(&model, &kernel),
-        ServeConfig {
-            threads: 4,
-            artifact_shards: 3,
-            ..Default::default()
-        },
-    );
-    assert_eq!(sharded.resident_workspaces(), 0);
-    assert_eq!(sharded.cache_stats(), (0, 0));
-    assert_eq!(sharded.shard_fallbacks(), 0);
-    assert_eq!(sharded.dual_fallbacks(), 0);
-    assert_eq!(
-        sharded.resident_workspaces(),
-        0,
-        "sharded stats reads must not create serving state on idle workers"
-    );
-    sharded.rank_batch(&reqs);
-    let resident = sharded.resident_workspaces();
-    assert!(resident > 0);
-    let (hits, misses) = sharded.cache_stats();
-    // Every request fans into per-shard lookups, so the sharded ranker sees
-    // at least as many cache events as requests.
-    assert!(
-        hits + misses >= reqs.len() as u64,
-        "per-shard lookups must aggregate: {hits} + {misses}"
-    );
-    sharded.cache_stats();
-    sharded.shard_fallbacks();
-    assert_eq!(sharded.resident_workspaces(), resident);
 }
 
 #[test]

@@ -19,8 +19,8 @@ trap 'rm -f "$tmp"' EXIT
 
 cores="$(nproc 2>/dev/null || echo 1)"
 if [ "$cores" -le 1 ]; then
-  echo "WARNING: host_cores == 1 — parallel speedups (pool widths, shard" >&2
-  echo "grids, refresh-vs-retrain ratios) will not show on this host; the" >&2
+  echo "WARNING: host_cores == 1 — parallel speedups (pool widths," >&2
+  echo "refresh-vs-retrain ratios) will not show on this host; the" >&2
   echo "snapshot is still valid but compare it only against other 1-core" >&2
   echo "points of the trajectory." >&2
 fi
@@ -31,7 +31,7 @@ CRITERION_JSON="$tmp" cargo bench -p lkp-bench >&2
 echo "==> hotpath probe" >&2
 cargo run --release -p lkp-bench --bin hotpath_probe >> "$tmp"
 
-echo "==> serving probe (direct + dual-path + sharded grids + cache-mode replay + frontend rows)" >&2
+echo "==> serving probe (direct + dual-path grid + cache-mode replay + frontend rows)" >&2
 cargo run --release -p lkp-bench --bin serve_probe >> "$tmp"
 
 echo "==> spectral-cache probe" >&2
@@ -43,11 +43,16 @@ cargo run --release -p lkp-bench --bin sampler_probe >> "$tmp"
 echo "==> training-refresh probe (delta-fit vs full retrain)" >&2
 cargo run --release -p lkp-bench --bin refresh_probe >> "$tmp"
 
+# Source size, so net lines added or removed show up in the trajectory.
+rust_lines="$(find crates src examples tests -name '*.rs' -type f -print0 2>/dev/null \
+  | xargs -0 cat | wc -l | tr -d ' ')"
+
 {
-  printf '{"snapshot_meta":{"date":"%s","host_cores":%s,"rustc":"%s"}}\n' \
+  printf '{"snapshot_meta":{"date":"%s","host_cores":%s,"rustc":"%s","rust_lines":%s}}\n' \
     "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     "$cores" \
-    "$(rustc --version | tr -d '"')"
+    "$(rustc --version | tr -d '"')" \
+    "$rust_lines"
   # Stamp host_cores into every row: criterion rows (and any probe that
   # predates the field) carry no core count of their own, which makes
   # cross-host trajectory comparison silently misleading.

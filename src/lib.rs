@@ -98,7 +98,7 @@ pub mod prelude {
     pub use lkp_serve::{
         CacheMode, DriverClient, FrontendConfig, FrontendDriver, KernelForm, RankOutcome,
         RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig, ServeFrontend,
-        ShardPartition, ShardedArtifact, SubmitError,
+        SubmitError,
     };
 
     /// Convenience: generate a synthetic dataset from its config in one call.
