@@ -34,7 +34,7 @@ pub mod variants;
 
 pub use diversity::{train_diversity_kernel, DiversityKernelConfig};
 pub use objective::{LkpObjective, LkpRbfObjective, Objective};
-pub use trainer::{RefreshReport, TrainConfig, TrainReport, TrainedState, Trainer, UpdateRule};
+pub use trainer::{RefreshReport, TrainConfig, TrainReport, TrainedState, Trainer};
 pub use variants::LkpVariant;
 
 /// Scores are clamped to this magnitude before `exp` when building kernel

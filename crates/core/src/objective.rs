@@ -29,7 +29,7 @@
 
 use crate::{KERNEL_JITTER, SCORE_CLAMP};
 use lkp_data::{InstanceBlock, InstanceRef};
-use lkp_dpp::{DppBatchArena, DppWorkspace, LowRankKernel, SpectralCache};
+use lkp_dpp::{DppBatchArena, DppWorkspace, LowRankKernel};
 use lkp_linalg::Matrix;
 use lkp_models::{ItemEmbeddings, Recommender};
 
@@ -99,26 +99,6 @@ pub trait Objective<M: Recommender>: Sync {
         ws: &mut DppWorkspace,
         out: &mut InstanceGrad,
     );
-
-    /// [`Objective::compute_into`] with access to an epoch-persistent
-    /// [`SpectralCache`] (one per pool worker). Criteria whose per-instance
-    /// cost is dominated by a kernel eigendecomposition override this to
-    /// reuse/warm-start cached spectra on revisited ground sets; the default
-    /// ignores the cache, so pointwise/pairwise baselines and criteria with
-    /// non-cacheable kernels (e.g. trainable-embedding RBF) are unaffected.
-    /// The trainer only routes through this entry point when
-    /// `TrainConfig::spectral_tol > 0`.
-    fn compute_cached_into(
-        &self,
-        model: &M,
-        instance: InstanceRef<'_>,
-        ws: &mut DppWorkspace,
-        cache: &mut SpectralCache,
-        out: &mut InstanceGrad,
-    ) {
-        let _ = cache;
-        self.compute_into(model, instance, ws, out);
-    }
 
     /// Computes a uniform-size run of plan instances into
     /// `outs[..block.len()]` — the dispatch-level entry point the trainer
@@ -269,41 +249,12 @@ impl<M: Recommender> Objective<M> for LkpObjective {
         Self::collect(ws, result, out);
     }
 
-    /// The pre-learned kernel is frozen for the whole run, so a ground set's
-    /// tailored spectrum depends only on `(items, q)` — exactly what the
-    /// spectral cache keys and drift-checks. Revisits within
-    /// `cache.tol()` reuse the cached `(λ, V)` outright; drifted revisits
-    /// warm-start the eigen solver from it.
-    fn compute_cached_into(
-        &self,
-        model: &M,
-        instance: InstanceRef<'_>,
-        ws: &mut DppWorkspace,
-        cache: &mut SpectralCache,
-        out: &mut InstanceGrad,
-    ) {
-        self.stage(model, instance, ws, out);
-        let result = ws.tailored_loss_grad_cached(
-            cache,
-            instance.user,
-            &out.items,
-            &out.scores,
-            instance.k(),
-            self.kind == LkpKind::NegativeAware,
-            true,
-            KERNEL_JITTER,
-            SCORE_CLAMP,
-        );
-        Self::collect(ws, result, out);
-    }
-
     /// Batched dispatch path: stage every instance's staged kernel into an
     /// arena slot, solve the run's eigenproblems back-to-back from the
     /// arena's shared scratch, then walk the gradient tails. Each phase is a
     /// pure function of its instance's inputs, so the results are bitwise
     /// the default per-instance loop's — the batching only tightens the
-    /// eigen stage's inner loop over cold first visits (revisits are the
-    /// spectral cache's job, on the `spectral_tol > 0` path).
+    /// eigen stage's inner loop.
     fn compute_batch_into(
         &self,
         model: &M,

@@ -1,5 +1,4 @@
-//! Training-loop configuration: [`TrainConfig`] and the incremental-refresh
-//! [`UpdateRule`].
+//! Training-loop configuration: [`TrainConfig`].
 
 use lkp_data::{SamplingPolicy, TargetSelection};
 
@@ -22,15 +21,12 @@ pub struct TrainConfig {
     /// epoch and keeps trajectories bitwise identical to the historical
     /// inline sampler. [`SamplingPolicy::FrozenNegatives`] samples once and
     /// reuses the identical plan — same instances, same order — for the
-    /// whole run, so with `spectral_tol > 0` every revisit from epoch 2
-    /// onward hits the per-worker spectral cache (each instance lands on the
-    /// same worker every epoch; see `TrainReport::spectral_cache`).
-    /// [`SamplingPolicy::PeriodicRefresh`] resamples every `period` epochs.
+    /// whole run.
     ///
     /// [`crate::trainer::Trainer::update`] ignores this field: a refresh
     /// samples its delta plan once and reuses it for every update epoch
-    /// (the frozen-negatives discipline is what lets unchanged users keep
-    /// their worker affinity and spectral-cache entries).
+    /// (the frozen-negatives discipline, under which unchanged users keep
+    /// their base ground sets).
     pub sampling_policy: SamplingPolicy,
     /// Validate every this many epochs (0 disables validation entirely).
     pub eval_every: usize,
@@ -55,41 +51,12 @@ pub struct TrainConfig {
     /// mean host parallelism — it is clamped to 1; pass
     /// `lkp_runtime::resolve_threads(0)` to request host width explicitly.
     pub threads: usize,
-    /// Quality-drift tolerance of the epoch-persistent spectral cache
-    /// (∞-norm on the per-instance quality vector `q = exp(clamp(ŷ))`).
-    ///
-    /// `0.0` (the default) **disables the cache entirely**: every instance
-    /// recomputes its eigendecomposition and training trajectories are
-    /// bitwise identical to the pre-cache trainer at any thread count. With
-    /// a positive tolerance, each pool worker keeps the spectra of recently
-    /// seen `(user, ground set)` pairs across batches and epochs: a revisit
-    /// whose `q` moved at most this much reuses the cached spectrum outright
-    /// (the `O(m³)` eigen stage is skipped), and a larger drift warm-starts
-    /// the solver from the cached basis. Spectra then differ from exact
-    /// recomputation by `O(tol)` (skips) / solver round-off (warm starts),
-    /// so trajectories are no longer bitwise pinned — validation metrics
-    /// remain within tolerance of the exact run (see
-    /// `crates/core/tests/spectral_cache_equivalence.rs`).
-    ///
-    /// Only objectives that override `Objective::compute_cached_into`
-    /// (the frozen-kernel LkP criteria) consult the cache; baselines and
-    /// trainable-kernel criteria are unaffected at any value.
-    ///
-    /// A positive tolerance additionally lets
-    /// [`crate::trainer::Trainer::update`] carry cache entries *across* the
-    /// fit boundary: the base run's exported spectra are adopted into the
-    /// refresh pool's workers, so unchanged users skip or warm-start their
-    /// eigendecompositions from the very first update epoch.
-    pub spectral_tol: f64,
     /// Epochs for one incremental [`crate::trainer::Trainer::update`] pass.
     /// `0` (the default) falls back to [`TrainConfig::epochs`]. A refresh
     /// typically needs far fewer epochs than a cold fit — the model starts
     /// at the base optimum and only the delta's users moved — which is
     /// where the refresh-vs-retrain wall-time win comes from.
     pub update_epochs: usize,
-    /// Parameter-update rule used by [`crate::trainer::Trainer::update`]
-    /// (full fits always use [`UpdateRule::Sgd`]).
-    pub update_rule: UpdateRule,
     /// Seed for instance sampling.
     pub seed: u64,
     /// Print per-epoch progress to stderr.
@@ -109,9 +76,7 @@ impl Default for TrainConfig {
             patience: 3,
             eval_cutoff: 10,
             threads: 4,
-            spectral_tol: 0.0,
             update_epochs: 0,
-            update_rule: UpdateRule::Sgd,
             seed: 17,
             verbose: false,
         }
@@ -136,34 +101,4 @@ impl TrainConfig {
             self.epochs
         }
     }
-}
-
-/// How [`crate::trainer::Trainer::update`] moves the model's parameters on
-/// each refreshed instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum UpdateRule {
-    /// The fit loop's rule: instance gradients are accumulated through the
-    /// objective (`Objective::accumulate`) in plan order and the model's
-    /// optimizer applies one step per mini-batch. An update under this rule
-    /// runs the *same* code path as `Trainer::fit`, so a full-delta refresh
-    /// is bitwise identical to a frozen-negatives fit on the merged data.
-    Sgd,
-    /// A Gillenwater-style **fixed-point EM step** applied per instance:
-    /// given `g = ∂loss/∂score`, the model immediately damps the instance's
-    /// scores `ŷ ← ŷ − rate·g` — equivalently the multiplicative quality
-    /// update `q ← q·exp(−rate·g)` that EM performs on DPP kernel
-    /// parameters, keeping `q` positive by construction. No optimizer
-    /// moments are consulted; `rate` is the damping factor.
-    ///
-    /// Models with closed-form score parameterizations override
-    /// `Recommender::em_score_step` with a direct simultaneous update
-    /// (e.g. matrix factorization updates `p_u` and the touched `q_i` rows
-    /// in one shot); the default falls back to gradient accumulation, in
-    /// which case the batch-end optimizer step still applies the move.
-    /// Intended for frozen-kernel criteria — trainable-kernel (E-type)
-    /// embedding gradients are not applied under this rule.
-    EmStyle {
-        /// Damping factor of the fixed-point step (`0.0` freezes the model).
-        rate: f64,
-    },
 }

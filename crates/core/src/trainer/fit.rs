@@ -1,18 +1,15 @@
 //! Cold-path training: [`Trainer::fit`] and friends.
 //!
 //! `fit` is the degenerate "full delta" case of the refresh pipeline — one
-//! [`super::PlannerSource`] over the whole dataset, SGD rule, driven through
-//! the shared epoch engine — and is bitwise pinned against the historical
+//! [`super::PlannerSource`] over the whole dataset, driven through the
+//! shared epoch engine — and is bitwise pinned against the historical
 //! single-file trainer (`crates/core/tests/parallel_equivalence.rs`).
 //! [`Trainer::fit_state`] additionally exports the [`TrainedState`]
 //! warm-start token consumed by [`Trainer::update`].
 
 #[cfg(test)]
 use super::TrainConfig;
-use super::{
-    collect_spectral_stats, export_spectral_snapshot, run_epochs, PlanSource, PlannerSource,
-    TrainReport, TrainedState, Trainer, UpdateRule,
-};
+use super::{run_epochs, PlanSource, PlannerSource, TrainReport, TrainedState, Trainer};
 use crate::objective::Objective;
 use lkp_data::{Dataset, EpochPlanner, InstanceSampler};
 use lkp_models::Recommender;
@@ -53,19 +50,13 @@ impl Trainer {
         O: Objective<M>,
         F: FnMut(usize, &M),
     {
-        let (report, _planner, _pool) = self.fit_core(model, objective, data, &mut callback);
+        let (report, _planner) = self.fit_core(model, objective, data, &mut callback);
         report
     }
 
     /// Trains like [`Trainer::fit`] and also returns the [`TrainedState`]
-    /// warm-start token: the data, the run's final epoch plan, and the pool
-    /// workers' spectral-cache entries (when `spectral_tol > 0`), everything
+    /// warm-start token: the data and the run's final epoch plan, everything
     /// [`Trainer::update`] needs to delta-fit without a cold start.
-    ///
-    /// Note the exported spectra reflect the *final* epoch's model; if
-    /// best-checkpoint restore rolled the model back, a later refresh still
-    /// classifies each cached entry by quality drift, so stale entries
-    /// degrade to warm starts rather than wrong results.
     pub fn fit_state<M, O>(
         &self,
         model: &mut M,
@@ -78,8 +69,7 @@ impl Trainer {
     {
         let cfg = &self.config;
         let (k, n) = objective.instance_shape(cfg.k, cfg.n);
-        let (report, planner, mut pool) = self.fit_core(model, objective, data, &mut |_, _| {});
-        let spectral = export_spectral_snapshot(&mut pool, cfg.spectral_tol);
+        let (report, planner) = self.fit_core(model, objective, data, &mut |_, _| {});
         let state = TrainedState::new(
             data.clone(),
             planner.plan().clone(),
@@ -88,21 +78,19 @@ impl Trainer {
             n,
             cfg.mode,
             cfg.seed,
-            spectral,
         );
         (report, state)
     }
 
     /// The fit body: epoch engine over a policy-driven planner. Returns the
-    /// planner and pool so [`Trainer::fit_state`] can harvest the final plan
-    /// and the workers' cache entries before they are dropped.
+    /// planner so [`Trainer::fit_state`] can harvest the final plan.
     fn fit_core<M, O, F>(
         &self,
         model: &mut M,
         objective: &mut O,
         data: &Dataset,
         callback: &mut F,
-    ) -> (TrainReport, EpochPlanner, WorkerPool)
+    ) -> (TrainReport, EpochPlanner)
     where
         M: Recommender + Clone + Sync,
         O: Objective<M>,
@@ -118,14 +106,13 @@ impl Trainer {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // One persistent worker pool for the whole run: batch gradient
         // computation and validation passes share it, and each worker keeps
-        // its `DppWorkspace` (plus batch arena / spectral cache) in pool
-        // state across every batch (steady-state allocation-free, spawn cost
-        // paid once instead of per batch).
+        // its `DppWorkspace` and batch arena in pool state across every batch
+        // (steady-state allocation-free, spawn cost paid once instead of per
+        // batch).
         let mut pool = WorkerPool::new(cfg.thread_budget());
         let run = run_epochs(
             cfg,
             cfg.epochs,
-            UpdateRule::Sgd,
             model,
             objective,
             data,
@@ -139,10 +126,9 @@ impl Trainer {
             best_epoch: run.best_epoch,
             best_val_ndcg: run.best_val,
             history: run.history,
-            spectral_cache: collect_spectral_stats(&mut pool, cfg.spectral_tol),
             plan: source.stats(),
         };
-        (report, source.planner, pool)
+        (report, source.planner)
     }
 }
 
@@ -321,7 +307,5 @@ mod tests {
         assert!(!state.plan().is_empty());
         assert_eq!(state.shape(), (1, 1));
         assert_eq!(state.data().n_users(), data.n_users());
-        // spectral_tol = 0 ⇒ nothing to carry.
-        assert!(state.spectral().is_empty());
     }
 }

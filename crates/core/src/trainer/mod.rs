@@ -5,9 +5,8 @@
 //! [`EpochPlanner`] produces each epoch's [`lkp_data::EpochPlan`] — one
 //! contiguous flat arena of ground sets — under a [`SamplingPolicy`]
 //! ([`lkp_data::SamplingPolicy::ResampleEachEpoch`] reproduces the historical inline
-//! sampler draw-for-draw; [`lkp_data::SamplingPolicy::FrozenNegatives`] /
-//! [`lkp_data::SamplingPolicy::PeriodicRefresh`] reuse plans across epochs so
-//! revisited ground sets hit the per-worker spectral cache). The plan's
+//! sampler draw-for-draw; [`lkp_data::SamplingPolicy::FrozenNegatives`]
+//! reuses the first epoch's plan for the whole run). The plan's
 //! [`lkp_data::BatchSchedule`] cuts it into optimizer batches and buckets
 //! each batch by ground-set size, so every pool dispatch run is uniform-`m`
 //! and the objective's batched entry point can solve a run's eigenproblems
@@ -16,9 +15,9 @@
 //! Mini-batches are **batch-parallel** on a persistent
 //! [`lkp_runtime::WorkerPool`] created once per run: within a batch,
 //! instance gradients are computed concurrently by the pool's workers, each
-//! owning its [`DppWorkspace`] (plus batch arena or spectral cache) in pool
-//! worker state **across batches** (the model is only *read* during this
-//! phase). The computed gradients are then accumulated into the model
+//! owning its [`DppWorkspace`] and [`DppBatchArena`] in pool worker state
+//! **across batches** (the model is only *read* during this phase). The
+//! computed gradients are then accumulated into the model
 //! serially, in plan order, before the optimizer step — so the result is
 //! **bitwise identical** at any thread count, including the serial
 //! `threads = 1` path (which spawns no thread at all). Validation passes
@@ -26,35 +25,33 @@
 //!
 //! The module splits along that pipeline:
 //!
-//! * [`config`] — [`TrainConfig`] and the refresh [`UpdateRule`].
+//! * [`config`] — [`TrainConfig`].
 //! * [`fit`] — [`Trainer::fit`] / [`Trainer::fit_with_callback`] (the cold
 //!   path) and [`Trainer::fit_state`], which additionally exports the
 //!   [`TrainedState`] warm-start token.
 //! * [`update`] — [`Trainer::update`]: the delta-fit pass. It merges a
-//!   [`lkp_data::DatasetDelta`], freezes unchanged users' plan records
-//!   (preserving their worker affinity), adopts the base run's
-//!   spectral-cache entries into the new pool, and runs the *same* epoch
-//!   engine for a handful of refresh epochs.
+//!   [`lkp_data::DatasetDelta`], freezes unchanged users' plan records, and
+//!   runs the *same* epoch engine for a handful of refresh epochs.
 //! * [`report`] — [`TrainReport`], [`TrainedState`], [`RefreshReport`].
 //!
 //! Both `fit` and `update` drive one private epoch engine ([`run_epochs`])
-//! over a [`PlanSource`]; `fit` is exactly the full-plan, resampling,
-//! SGD-rule special case, and stays bitwise identical to the historical
-//! single-file trainer.
+//! over a [`PlanSource`]; `fit` is exactly the full-plan, resampling
+//! special case, and stays bitwise identical to the historical single-file
+//! trainer.
 
 mod config;
 mod fit;
 mod report;
 mod update;
 
-pub use config::{TrainConfig, UpdateRule};
+pub use config::TrainConfig;
 pub use report::{EpochStat, RefreshReport, TrainReport, TrainedState};
 
 use crate::objective::{InstanceGrad, Objective};
 use lkp_data::{
     BatchSchedule, Dataset, EpochPlan, EpochPlanner, InstanceBlock, PlanStats, ScheduledBatch,
 };
-use lkp_dpp::{DppBatchArena, DppWorkspace, SpectralCache, SpectralCacheStats, SpectralSnapshot};
+use lkp_dpp::{DppBatchArena, DppWorkspace};
 use lkp_models::Recommender;
 use lkp_runtime::WorkerPool;
 use rand::rngs::StdRng;
@@ -173,14 +170,13 @@ pub(crate) struct EngineRun {
 
 /// The shared epoch engine: plans, computes, accumulates, steps, validates,
 /// early-stops, and restores the best checkpoint. `fit` and `update` differ
-/// only in the [`PlanSource`], the epoch count, and the [`UpdateRule`] —
-/// with [`UpdateRule::Sgd`] this is instruction-for-instruction the
-/// historical fit loop, so existing trajectories stay bitwise pinned.
+/// only in the [`PlanSource`] and the epoch count; this is
+/// instruction-for-instruction the historical fit loop, so existing
+/// trajectories stay bitwise pinned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_epochs<M, O, P, F>(
     cfg: &TrainConfig,
     epochs: usize,
-    rule: UpdateRule,
     model: &mut M,
     objective: &mut O,
     data: &Dataset,
@@ -209,25 +205,14 @@ where
     for epoch in 1..=epochs {
         epochs_run = epoch;
         model.begin_epoch();
-        // The plan: fresh or reused per the source. Reused plans keep
-        // instance identity *and order*, so batch and chunk boundaries —
-        // and therefore each instance's worker, whose spectral cache is
-        // per-worker state — repeat exactly.
+        // The plan: fresh or reused per the source.
         let (plan, schedule) = source.plan_for_epoch(data, epoch, rng);
 
         let mut loss_sum = 0.0;
         let mut count = 0usize;
         let objective_ref: &O = objective;
         for batch in schedule.iter() {
-            compute_batch(
-                objective_ref,
-                &*model,
-                plan,
-                batch,
-                pool,
-                &mut grads,
-                cfg.spectral_tol,
-            );
+            compute_batch(objective_ref, &*model, plan, batch, pool, &mut grads);
             // Serial accumulation in *plan order* (`slot_of` maps each
             // plan position to its dispatch slot) keeps results
             // independent of both the thread count and the size
@@ -236,14 +221,7 @@ where
                 let grad = &grads[slot];
                 loss_sum += grad.loss;
                 count += 1;
-                match rule {
-                    UpdateRule::Sgd => objective_ref.accumulate(model, grad),
-                    UpdateRule::EmStyle { rate } => {
-                        if !grad.dscores.is_empty() {
-                            model.em_score_step(grad.user, &grad.items, &grad.dscores, rate);
-                        }
-                    }
-                }
+                objective_ref.accumulate(model, grad);
             }
             model.step();
         }
@@ -310,46 +288,6 @@ where
     }
 }
 
-/// Sums the spectral-cache counters held in the pool workers' state. Runs
-/// one (cheap) extra dispatch; skipped entirely when the cache was disabled.
-pub(crate) fn collect_spectral_stats(
-    pool: &mut WorkerPool,
-    spectral_tol: f64,
-) -> SpectralCacheStats {
-    if spectral_tol <= 0.0 {
-        return SpectralCacheStats::default();
-    }
-    let totals = std::sync::Mutex::new(SpectralCacheStats::default());
-    pool.run(|_, state| {
-        if let Some(cache) = state.get_mut::<SpectralCache>() {
-            totals.lock().expect("stats lock").merge(&cache.stats());
-        }
-    });
-    totals.into_inner().expect("stats lock")
-}
-
-/// Exports every pool worker's spectral-cache entries into one sorted,
-/// deduplicated [`SpectralSnapshot`] — the cache-carry half of a
-/// [`TrainedState`]. Empty when the cache was disabled.
-pub(crate) fn export_spectral_snapshot(
-    pool: &mut WorkerPool,
-    spectral_tol: f64,
-) -> SpectralSnapshot {
-    if spectral_tol <= 0.0 {
-        return SpectralSnapshot::default();
-    }
-    let merged = std::sync::Mutex::new(Vec::new());
-    pool.run(|_, state| {
-        if let Some(cache) = state.get_mut::<SpectralCache>() {
-            merged
-                .lock()
-                .expect("snapshot lock")
-                .extend(cache.export_entries());
-        }
-    });
-    SpectralSnapshot::from_entries(merged.into_inner().expect("snapshot lock"))
-}
-
 /// Computes one scheduled batch's instance gradients into
 /// `grads[..batch.len()]`, indexed by **dispatch slot**.
 ///
@@ -363,15 +301,10 @@ pub(crate) fn export_spectral_snapshot(
 /// from its instance alone, slot *values* are independent of the pool width
 /// and of the bucketing — only wall-clock changes.
 ///
-/// With `spectral_tol = 0` (the default) each uniform run goes through
-/// [`Objective::compute_batch_into`], whose LkP override stages the run into
-/// the worker's persistent [`DppBatchArena`] and solves its eigenproblems
-/// back-to-back — bitwise identical to the historical per-instance loop.
-/// With `spectral_tol > 0` each worker instead threads its persistent
-/// [`SpectralCache`] through [`Objective::compute_cached_into`], so
-/// revisited ground sets reuse or warm-start their eigendecompositions
-/// across batches *and epochs* (worker state outlives both; frozen plans
-/// pin each instance to one worker, making every revisit a cache hit).
+/// Each uniform run goes through [`Objective::compute_batch_into`], whose
+/// LkP override stages the run into the worker's persistent
+/// [`DppBatchArena`] and solves its eigenproblems back-to-back — bitwise
+/// identical to the historical per-instance loop.
 pub(crate) fn compute_batch<M, O>(
     objective: &O,
     model: &M,
@@ -379,35 +312,24 @@ pub(crate) fn compute_batch<M, O>(
     batch: ScheduledBatch<'_>,
     pool: &mut WorkerPool,
     grads: &mut [InstanceGrad],
-    spectral_tol: f64,
 ) where
     M: Recommender + Sync,
     O: Objective<M>,
 {
     let grads = &mut grads[..batch.len()];
-    if spectral_tol > 0.0 {
-        pool.zip_chunks(batch.dispatch, grads, |_, idx_chunk, grad_chunk, state| {
-            let (ws, cache) = state.get_or_default_pair::<DppWorkspace, SpectralCache>();
-            cache.set_tol(spectral_tol);
-            for (&idx, out) in idx_chunk.iter().zip(grad_chunk.iter_mut()) {
-                objective.compute_cached_into(model, plan.instance(idx), ws, cache, out);
-            }
-        });
-    } else {
-        pool.zip_chunks_bounded(
-            batch.dispatch,
-            grads,
-            batch.bounds,
-            |_, idx_chunk, grad_chunk, state| {
-                let (ws, arena) = state.get_or_default_pair::<DppWorkspace, DppBatchArena>();
-                objective.compute_batch_into(
-                    model,
-                    InstanceBlock::new(plan, idx_chunk),
-                    ws,
-                    arena,
-                    grad_chunk,
-                );
-            },
-        );
-    }
+    pool.zip_chunks_bounded(
+        batch.dispatch,
+        grads,
+        batch.bounds,
+        |_, idx_chunk, grad_chunk, state| {
+            let (ws, arena) = state.get_or_default_pair::<DppWorkspace, DppBatchArena>();
+            objective.compute_batch_into(
+                model,
+                InstanceBlock::new(plan, idx_chunk),
+                ws,
+                arena,
+                grad_chunk,
+            );
+        },
+    );
 }

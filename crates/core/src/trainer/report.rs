@@ -2,7 +2,6 @@
 //! artifacts ([`TrainedState`] warm-start token, [`RefreshReport`]).
 
 use lkp_data::{Dataset, EpochPlan, PlanStats, TargetSelection};
-use lkp_dpp::{SpectralCacheStats, SpectralSnapshot};
 
 /// Per-epoch statistics.
 #[derive(Debug, Clone)]
@@ -26,10 +25,6 @@ pub struct TrainReport {
     pub best_val_ndcg: f64,
     /// Per-epoch history.
     pub history: Vec<EpochStat>,
-    /// Spectral-cache counters summed over the run's pool workers — all
-    /// zeros when the cache was disabled (`spectral_tol = 0`) or the
-    /// objective never consulted it.
-    pub spectral_cache: SpectralCacheStats,
     /// Epoch-plan counters: resampled vs reused epochs, instances per
     /// epoch, and the number of distinct ground-set sizes the batch
     /// scheduler bucketed by.
@@ -44,7 +39,6 @@ impl TrainReport {
             best_epoch: 0,
             best_val_ndcg: 0.0,
             history: Vec::new(),
-            spectral_cache: SpectralCacheStats::default(),
             plan: PlanStats::default(),
         }
     }
@@ -52,9 +46,8 @@ impl TrainReport {
 
 /// Everything a later [`crate::trainer::Trainer::update`] call needs to
 /// warm-start from a finished run: the training data, the final epoch plan
-/// (instance identity *and order*, which pins each instance's pool worker),
-/// the sampling shape it was drawn under, and the spectral-cache entries the
-/// run's workers held at exit.
+/// (instance identity *and order*) and the sampling shape it was drawn
+/// under.
 ///
 /// Produced by [`crate::trainer::Trainer::fit_state`] and by every
 /// `update` call (so refreshes chain: fit → update → update → …).
@@ -67,11 +60,9 @@ pub struct TrainedState {
     pub(crate) n: usize,
     pub(crate) mode: TargetSelection,
     pub(crate) seed: u64,
-    pub(crate) spectral: SpectralSnapshot,
 }
 
 impl TrainedState {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         data: Dataset,
         plan: EpochPlan,
@@ -80,7 +71,6 @@ impl TrainedState {
         n: usize,
         mode: TargetSelection,
         seed: u64,
-        spectral: SpectralSnapshot,
     ) -> Self {
         TrainedState {
             data,
@@ -90,7 +80,6 @@ impl TrainedState {
             n,
             mode,
             seed,
-            spectral,
         }
     }
 
@@ -114,12 +103,6 @@ impl TrainedState {
     pub fn mode(&self) -> TargetSelection {
         self.mode
     }
-
-    /// Spectral-cache entries exported from the run's pool workers (empty
-    /// when the run had `spectral_tol = 0`).
-    pub fn spectral(&self) -> &SpectralSnapshot {
-        &self.spectral
-    }
 }
 
 /// Outcome of one incremental [`crate::trainer::Trainer::update`] pass.
@@ -130,12 +113,10 @@ pub struct RefreshReport {
     /// The refreshed warm-start state — feed it to the next `update`.
     pub state: TrainedState,
     /// Plan records carried over verbatim from the base plan (unchanged
-    /// users, base order — worker affinity preserved).
+    /// users, base order).
     pub frozen_instances: usize,
     /// Plan records freshly sampled for changed/new users.
     pub fresh_instances: usize,
-    /// Spectral-cache entries adopted into the refresh pool's workers.
-    pub adopted_entries: usize,
     /// Users whose ground sets were resampled (changed or new).
     pub changed_users: usize,
     /// Users the delta appended to the population.
@@ -155,7 +136,6 @@ impl RefreshReport {
             state,
             frozen_instances: 0,
             fresh_instances: 0,
-            adopted_entries: 0,
             changed_users: 0,
             new_users: 0,
             new_interactions: 0,

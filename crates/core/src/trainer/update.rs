@@ -6,27 +6,20 @@
 //!    dataset ([`lkp_data::Dataset::merge_delta`]), yielding the summary of
 //!    changed/new users.
 //! 2. **Plan** — a [`DeltaPlanner`] freezes the base plan's records for
-//!    unchanged users (same instances, same order ⇒ same batch and chunk
-//!    boundaries ⇒ same pool worker per instance) and samples fresh ground
+//!    unchanged users (same instances, same order) and samples fresh ground
 //!    sets only for changed users.
-//! 3. **Spectra** — with `spectral_tol > 0`, the base run's exported
-//!    spectral-cache entries are adopted into exactly the refresh worker
-//!    that will serve each frozen instance, so unchanged users skip or
-//!    warm-start their eigendecompositions from the first update epoch.
-//! 4. **Epochs** — the shared epoch engine runs `update_epochs` passes over
-//!    the frozen refresh plan under the configured [`super::UpdateRule`].
+//! 3. **Epochs** — the shared epoch engine runs `update_epochs` passes over
+//!    the frozen refresh plan.
 //!
 //! An empty delta (nothing new after dedup) is a strict no-op: the model is
 //! not touched and the returned state is the base state, so downstream
 //! artifacts rebuilt from it are bitwise identical to the base artifact.
 
 use super::{
-    collect_spectral_stats, export_spectral_snapshot, run_epochs, FixedSource, PlanSource,
-    RefreshReport, TrainReport, TrainedState, Trainer,
+    run_epochs, FixedSource, PlanSource, RefreshReport, TrainReport, TrainedState, Trainer,
 };
 use crate::objective::Objective;
-use lkp_data::{BatchSchedule, DatasetDelta, DeltaPlanner, EpochPlan, InstanceSampler};
-use lkp_dpp::{DppWorkspace, SpectralCache, SpectralSnapshot};
+use lkp_data::{DatasetDelta, DeltaPlanner, InstanceSampler};
 use lkp_models::Recommender;
 use lkp_runtime::WorkerPool;
 use rand::rngs::StdRng;
@@ -41,12 +34,12 @@ impl Trainer {
     /// clone); the refresh plan freezes `base`'s ground sets for unchanged
     /// users, which is only meaningful against the same parameters. Epoch
     /// count comes from `TrainConfig::update_epochs` (falling back to
-    /// `epochs`); the parameter move is `TrainConfig::update_rule`.
+    /// `epochs`).
     ///
     /// Equivalence contract (enforced by
     /// `crates/core/tests/incremental_equivalence.rs`): an empty delta
     /// leaves the model bitwise untouched; a delta touching *every* user
-    /// under [`super::UpdateRule::Sgd`] with `update_epochs == epochs` is
+    /// with `update_epochs == epochs` is
     /// bitwise identical to a frozen-negatives [`Trainer::fit`] on the
     /// merged dataset.
     ///
@@ -81,8 +74,8 @@ impl Trainer {
 
         let (merged, summary) = base.data().merge_delta(delta);
         if summary.is_empty() {
-            // Nothing survived dedup: keep the base plan and spectra; the
-            // merged dataset is content-identical to the base dataset.
+            // Nothing survived dedup: keep the base plan; the merged dataset
+            // is content-identical to the base dataset.
             return RefreshReport::no_op(TrainedState::new(
                 merged,
                 base.plan().clone(),
@@ -91,7 +84,6 @@ impl Trainer {
                 n,
                 base.mode(),
                 base.seed,
-                base.spectral().clone(),
             ));
         }
 
@@ -103,23 +95,11 @@ impl Trainer {
             planner.plan_refresh(&merged, base.plan(), &summary, &mut rng);
 
         let mut pool = WorkerPool::new(cfg.thread_budget());
-        let adopted = if cfg.spectral_tol > 0.0 && !base.spectral().is_empty() {
-            seed_adopted_entries(
-                &mut pool,
-                &plan,
-                &schedule,
-                base.spectral(),
-                cfg.spectral_tol,
-            )
-        } else {
-            0
-        };
 
         let mut source = FixedSource::new(plan, schedule);
         let run = run_epochs(
             cfg,
             cfg.refresh_epochs(),
-            cfg.update_rule,
             model,
             objective,
             &merged,
@@ -134,10 +114,8 @@ impl Trainer {
             best_epoch: run.best_epoch,
             best_val_ndcg: run.best_val,
             history: run.history,
-            spectral_cache: collect_spectral_stats(&mut pool, cfg.spectral_tol),
             plan: source.stats(),
         };
-        let spectral = export_spectral_snapshot(&mut pool, cfg.spectral_tol);
         let changed_users = summary.changed_users().len();
         let state = TrainedState::new(
             merged,
@@ -147,77 +125,16 @@ impl Trainer {
             n,
             cfg.mode,
             cfg.seed,
-            spectral,
         );
         RefreshReport {
             report,
             state,
             frozen_instances: plan_stats.frozen,
             fresh_instances: plan_stats.fresh,
-            adopted_entries: adopted,
             changed_users,
             new_users: summary.new_users(),
             new_interactions: summary.new_interactions(),
             no_op: false,
         }
     }
-}
-
-/// Replays the epoch engine's worker-affinity math over the refresh plan and
-/// adopts each base spectral entry into the one pool worker that will serve
-/// its `(user, ground set)` instance, returning how many entries landed.
-///
-/// The cached dispatch (`zip_chunks`) hands worker `w` the contiguous slot
-/// range `[w·c, (w+1)·c)` with `c = ceil(len / threads)` per batch; since
-/// the refresh plan is frozen, that assignment repeats every epoch, so the
-/// adopted entry sits exactly where its first revisit looks it up. Snapshot
-/// entries are sorted by `(user, items)`, so each instance finds its entry
-/// by binary search — one pass, no hashing, no allocation beyond the
-/// per-worker assignment lists.
-fn seed_adopted_entries(
-    pool: &mut WorkerPool,
-    plan: &EpochPlan,
-    schedule: &BatchSchedule,
-    snapshot: &SpectralSnapshot,
-    spectral_tol: f64,
-) -> usize {
-    let threads = pool.threads().max(1);
-    let entries = snapshot.entries();
-    let mut assignments: Vec<Vec<&lkp_dpp::SpectralCacheEntry>> = Vec::with_capacity(threads);
-    assignments.resize_with(threads, Vec::default);
-    // Each plan record appears in exactly one batch and users are unique
-    // within a plan, but distinct snapshot entries can share a user (ground
-    // sets cached across resamples) — `taken` keeps adoption single-shot.
-    let mut taken = Vec::with_capacity(entries.len());
-    taken.resize(entries.len(), false);
-    let mut adopted = 0usize;
-    for batch in schedule.iter() {
-        let chunk = batch.len().div_ceil(threads).max(1);
-        for (pos, &idx) in batch.dispatch.iter().enumerate() {
-            let rec = plan.records()[idx];
-            let set = plan.ground_set(idx);
-            let start = entries.partition_point(|e| e.user() < rec.user);
-            for (off, entry) in entries[start..].iter().enumerate() {
-                if entry.user() != rec.user {
-                    break;
-                }
-                if entry.items() == set {
-                    if !taken[start + off] {
-                        taken[start + off] = true;
-                        assignments[pos / chunk].push(entry);
-                        adopted += 1;
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    pool.run(|worker, state| {
-        let (_ws, cache) = state.get_or_default_pair::<DppWorkspace, SpectralCache>();
-        cache.set_tol(spectral_tol);
-        for entry in &assignments[worker] {
-            cache.adopt(entry);
-        }
-    });
-    adopted
 }

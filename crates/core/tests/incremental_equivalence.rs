@@ -3,20 +3,16 @@
 //!
 //! * An **empty delta** is a strict no-op at any pool width — the model is
 //!   bitwise untouched and the returned state carries the base plan.
-//! * A **full delta** (every user changed) under `UpdateRule::Sgd` with
-//!   `update_epochs == epochs` is bitwise identical to a frozen-negatives
+//! * A **full delta** (every user changed) with `update_epochs == epochs`
+//!   is bitwise identical to a frozen-negatives
 //!   `fit` on the merged dataset: the delta planner consumes the RNG
 //!   draw-for-draw like a full resample and the refresh runs the same epoch
 //!   engine.
-//! * **Random deltas** freeze unchanged users' instances, carry their
-//!   spectral-cache entries across the fit boundary (skip/warm-start
-//!   counters move), and land within a small NDCG tolerance of a full
-//!   retrain on the merged data.
-//! * The **EM-style rule** moves the model through per-instance fixed-point
-//!   score steps; `rate = 0` freezes it bitwise.
+//! * **Random deltas** freeze unchanged users' instances and land within a
+//!   small NDCG tolerance of a full retrain on the merged data.
 
 use lkp_core::objective::{LkpKind, LkpObjective};
-use lkp_core::{train_diversity_kernel, DiversityKernelConfig, TrainConfig, Trainer, UpdateRule};
+use lkp_core::{train_diversity_kernel, DiversityKernelConfig, TrainConfig, Trainer};
 use lkp_data::{Dataset, DatasetDelta, SamplingPolicy, Split, SyntheticConfig};
 use lkp_dpp::LowRankKernel;
 use lkp_models::{MatrixFactorization, Recommender};
@@ -177,7 +173,6 @@ fn full_delta_update_is_bitwise_a_frozen_negatives_fit_on_merged_data() {
     let mut a = warm.clone();
     let rep = Trainer::new(TrainConfig {
         update_epochs: 3,
-        update_rule: UpdateRule::Sgd,
         ..base_cfg()
     })
     .update(&mut a, &mut obj(&kern), &base, &delta);
@@ -197,7 +192,7 @@ fn full_delta_update_is_bitwise_a_frozen_negatives_fit_on_merged_data() {
     );
 }
 
-/// Shared warm-start fixture for the property tests: one cached base fit,
+/// Shared warm-start fixture for the property tests: one base fit,
 /// reused across every generated delta (the vendored `proptest!` form only
 /// supports item-style tests, so the fixture lives in a `OnceLock`).
 struct BaseFixture {
@@ -206,7 +201,6 @@ struct BaseFixture {
     warm: MatrixFactorization,
     base: lkp_core::TrainedState,
     warm_bits: Vec<u64>,
-    cached_cfg: TrainConfig,
 }
 
 fn fixture() -> &'static BaseFixture {
@@ -215,16 +209,7 @@ fn fixture() -> &'static BaseFixture {
         let data = data();
         let kern = kernel(&data);
         let mut warm = mf(&data);
-        let cached_cfg = TrainConfig {
-            spectral_tol: 0.05,
-            ..base_cfg()
-        };
-        let (_, base) =
-            Trainer::new(cached_cfg.clone()).fit_state(&mut warm, &mut obj(&kern), &data);
-        assert!(
-            !base.spectral().is_empty(),
-            "cached fit must export spectral entries"
-        );
+        let (_, base) = Trainer::new(base_cfg()).fit_state(&mut warm, &mut obj(&kern), &data);
         let warm_bits = score_bits(&warm, data.n_items());
         BaseFixture {
             data,
@@ -232,7 +217,6 @@ fn fixture() -> &'static BaseFixture {
             warm,
             base,
             warm_bits,
-            cached_cfg,
         }
     })
 }
@@ -241,7 +225,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn random_deltas_carry_spectra_and_stay_within_ndcg_tolerance(
+    fn random_deltas_stay_within_ndcg_tolerance(
         events in proptest::collection::vec((0usize..40, 0usize..80), 1..10),
     ) {
         let fx = fixture();
@@ -252,7 +236,7 @@ proptest! {
         let mut m = fx.warm.clone();
         let rep = Trainer::new(TrainConfig {
             update_epochs: 2,
-            ..fx.cached_cfg.clone()
+            ..base_cfg()
         })
         .update(&mut m, &mut obj(&fx.kern), &fx.base, &delta);
 
@@ -265,21 +249,10 @@ proptest! {
             rep.frozen_instances + rep.fresh_instances,
             rep.state.plan().len()
         );
-        if rep.frozen_instances > 0 {
-            // Unchanged users' spectra crossed the fit boundary and were
-            // actually consulted: revisits skip or warm-start, never all-cold.
-            prop_assert!(rep.adopted_entries > 0, "no entries adopted");
-            let stats = rep.report.spectral_cache;
-            prop_assert!(
-                stats.skips + stats.warm_starts > 0,
-                "adopted entries never hit: {:?}",
-                stats
-            );
-        }
         // Refresh quality: within ε of a full frozen retrain on merged data.
         let (merged, _) = fx.data.merge_delta(&delta);
         let mut full = fx.warm.clone();
-        Trainer::new(fx.cached_cfg.clone()).fit(&mut full, &mut obj(&fx.kern), &merged);
+        Trainer::new(base_cfg()).fit(&mut full, &mut obj(&fx.kern), &merged);
         let refreshed = val_ndcg(&m, &merged);
         let retrained = val_ndcg(&full, &merged);
         prop_assert!(
@@ -289,50 +262,4 @@ proptest! {
             retrained
         );
     }
-}
-
-#[test]
-fn em_style_update_moves_the_model_and_zero_rate_freezes_it() {
-    let data = data();
-    let kern = kernel(&data);
-    let mut warm = mf(&data);
-    let (_, base) = Trainer::new(base_cfg()).fit_state(&mut warm, &mut obj(&kern), &data);
-    let warm_bits = score_bits(&warm, data.n_items());
-
-    let mut delta = DatasetDelta::new();
-    for user in 0..10 {
-        for item in 0..data.n_items() {
-            if !data.is_observed(user, item) {
-                delta.push(user, item);
-                break;
-            }
-        }
-    }
-
-    let mut m = warm.clone();
-    let rep = Trainer::new(TrainConfig {
-        update_epochs: 2,
-        update_rule: UpdateRule::EmStyle { rate: 0.02 },
-        ..base_cfg()
-    })
-    .update(&mut m, &mut obj(&kern), &base, &delta);
-    assert!(!rep.no_op);
-    assert!(rep.report.history.iter().all(|e| e.mean_loss.is_finite()));
-    assert_ne!(
-        score_bits(&m, data.n_items()),
-        warm_bits,
-        "EM update left the model untouched"
-    );
-    let (merged, _) = data.merge_delta(&delta);
-    assert!(val_ndcg(&m, &merged) > 0.0);
-
-    // rate = 0 is a frozen fixed point: parameters must not move at all.
-    let mut frozen = warm.clone();
-    Trainer::new(TrainConfig {
-        update_epochs: 2,
-        update_rule: UpdateRule::EmStyle { rate: 0.0 },
-        ..base_cfg()
-    })
-    .update(&mut frozen, &mut obj(&kern), &base, &delta);
-    assert_eq!(score_bits(&frozen, data.n_items()), warm_bits);
 }

@@ -9,12 +9,10 @@
 //! 1. The default `ResampleEachEpoch` policy is **bitwise identical** to the
 //!    pre-refactor inline sampler at 1/2/4 threads (the serial inline loop
 //!    is reconstructed verbatim below).
-//! 2. `FrozenNegatives` + `spectral_tol > 0` records a cache hit (skip or
-//!    warm start) on **every** instance revisit from epoch 2 onward.
-//! 3. Frozen plans are bitwise-stable across epochs and deterministic under
+//! 2. Frozen plans are bitwise-stable across epochs and deterministic under
 //!    a fixed seed (trajectory level; the plan level is pinned in
 //!    `lkp-data`'s own tests).
-//! 4. Size-bucketed scheduling preserves gradient-accumulation results
+//! 3. Size-bucketed scheduling preserves gradient-accumulation results
 //!    bitwise versus the unbucketed plan order, including on mixed-size
 //!    plans the stock sampler never produces.
 
@@ -66,7 +64,7 @@ fn kernel(data: &Dataset) -> lkp_dpp::LowRankKernel {
     )
 }
 
-fn config(threads: usize, epochs: usize, policy: SamplingPolicy, tol: f64) -> TrainConfig {
+fn config(threads: usize, epochs: usize, policy: SamplingPolicy) -> TrainConfig {
     TrainConfig {
         epochs,
         batch_size: 32,
@@ -77,7 +75,6 @@ fn config(threads: usize, epochs: usize, policy: SamplingPolicy, tol: f64) -> Tr
         eval_every: 0,
         patience: 0,
         threads,
-        spectral_tol: tol,
         seed: 99,
         ..Default::default()
     }
@@ -90,11 +87,10 @@ fn run_fit(
     threads: usize,
     epochs: usize,
     policy: SamplingPolicy,
-    tol: f64,
 ) -> (Vec<f64>, Vec<f64>, lkp_core::TrainReport) {
     let mut m = model(data, 1);
     let mut obj = LkpObjective::new(LkpKind::NegativeAware, kernel(data));
-    let trainer = Trainer::new(config(threads, epochs, policy, tol));
+    let trainer = Trainer::new(config(threads, epochs, policy));
     let report = trainer.fit(&mut m, &mut obj, data);
     let losses = report.history.iter().map(|h| h.mean_loss).collect();
     let items: Vec<usize> = (0..data.n_items()).collect();
@@ -106,7 +102,7 @@ fn run_fit(
 /// stream, plain `chunks(batch_size)` batches, one serial workspace, serial
 /// in-order accumulation (validation disabled, as in `config`).
 fn run_inline_reference(data: &Dataset, epochs: usize) -> (Vec<f64>, Vec<f64>) {
-    let cfg = config(1, epochs, SamplingPolicy::ResampleEachEpoch, 0.0);
+    let cfg = config(1, epochs, SamplingPolicy::ResampleEachEpoch);
     let mut m = model(data, 1);
     let obj = LkpObjective::new(LkpKind::NegativeAware, kernel(data));
     let sampler = InstanceSampler::new(cfg.k, cfg.n, cfg.mode);
@@ -147,13 +143,8 @@ fn resample_policy_is_bitwise_identical_to_the_inline_sampler() {
     let epochs = 2;
     let (ref_losses, ref_scores) = run_inline_reference(&data, epochs);
     for threads in [1usize, 2, 4] {
-        let (losses, scores, report) = run_fit(
-            &data,
-            threads,
-            epochs,
-            SamplingPolicy::ResampleEachEpoch,
-            0.0,
-        );
+        let (losses, scores, report) =
+            run_fit(&data, threads, epochs, SamplingPolicy::ResampleEachEpoch);
         assert_eq!(report.plan.resamples, epochs as u64);
         assert_eq!(report.plan.reuses, 0);
         for (e, (a, b)) in ref_losses.iter().zip(&losses).enumerate() {
@@ -174,52 +165,10 @@ fn resample_policy_is_bitwise_identical_to_the_inline_sampler() {
 }
 
 #[test]
-fn frozen_negatives_hits_the_cache_on_every_revisit() {
-    // The acceptance criterion: with FrozenNegatives and spectral_tol =
-    // 1e-8, every instance revisit from epoch 2 onward must resolve in the
-    // cache (skip or warm start) — reuse ≥ (epochs − 1)/epochs of lookups.
-    let data = smoke_data();
-    let epochs = 4;
-    for threads in [1usize, 3] {
-        let (_, _, report) = run_fit(
-            &data,
-            threads,
-            epochs,
-            SamplingPolicy::FrozenNegatives,
-            1e-8,
-        );
-        let stats = report.spectral_cache;
-        let instances = report.plan.instances as u64;
-        assert!(instances > 0);
-        assert_eq!(report.plan.resamples, 1, "frozen plans sample once");
-        assert_eq!(report.plan.reuses, epochs as u64 - 1);
-        assert_eq!(
-            stats.lookups(),
-            epochs as u64 * instances,
-            "threads={threads}: every instance consults the cache each epoch"
-        );
-        let hits = stats.skips + stats.warm_starts;
-        assert_eq!(
-            hits,
-            (epochs as u64 - 1) * instances,
-            "threads={threads}: every revisit from epoch 2 on must hit \
-             (skips {} + warm {} vs cold {})",
-            stats.skips,
-            stats.warm_starts,
-            stats.cold
-        );
-        assert_eq!(
-            stats.cold, instances,
-            "threads={threads}: only first visits go cold"
-        );
-    }
-}
-
-#[test]
 fn frozen_trajectories_are_deterministic_and_distinct_from_resampling() {
     let data = smoke_data();
-    let (a_losses, a_scores, _) = run_fit(&data, 4, 3, SamplingPolicy::FrozenNegatives, 1e-8);
-    let (b_losses, b_scores, _) = run_fit(&data, 4, 3, SamplingPolicy::FrozenNegatives, 1e-8);
+    let (a_losses, a_scores, _) = run_fit(&data, 4, 3, SamplingPolicy::FrozenNegatives);
+    let (b_losses, b_scores, _) = run_fit(&data, 4, 3, SamplingPolicy::FrozenNegatives);
     assert_eq!(
         a_losses.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         b_losses.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -228,34 +177,12 @@ fn frozen_trajectories_are_deterministic_and_distinct_from_resampling() {
     assert_eq!(a_scores, b_scores);
     // Epoch 1 consumes the identical RNG stream under every policy, so the
     // first-epoch loss is bitwise shared; afterwards the plans diverge.
-    let (r_losses, _, _) = run_fit(&data, 4, 3, SamplingPolicy::ResampleEachEpoch, 0.0);
+    let (r_losses, _, _) = run_fit(&data, 4, 3, SamplingPolicy::ResampleEachEpoch);
     assert_eq!(a_losses[0].to_bits(), r_losses[0].to_bits());
     assert_ne!(
         a_losses[2].to_bits(),
         r_losses[2].to_bits(),
         "frozen and resampled runs should part ways after epoch 1"
-    );
-}
-
-#[test]
-fn periodic_refresh_reuses_within_and_resamples_across_windows() {
-    let data = smoke_data();
-    let epochs = 5;
-    let (_, _, report) = run_fit(
-        &data,
-        2,
-        epochs,
-        SamplingPolicy::PeriodicRefresh { period: 2 },
-        1e-8,
-    );
-    // Epochs 1,3,5 resample; 2,4 reuse.
-    assert_eq!(report.plan.resamples, 3);
-    assert_eq!(report.plan.reuses, 2);
-    // Reused epochs revisit every instance: at least those lookups hit.
-    let stats = report.spectral_cache;
-    assert!(
-        stats.skips + stats.warm_starts >= 2 * report.plan.instances as u64,
-        "reused epochs must hit the cache: {stats:?}"
     );
 }
 

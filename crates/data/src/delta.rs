@@ -16,9 +16,8 @@
 //!   [`DeltaSummary`].
 //! * [`DeltaPlanner`] — builds the refresh [`EpochPlan`]: records of
 //!   **unchanged** users are copied from the base plan in base order (their
-//!   ground sets are byte-identical, so a spectral-cache entry carried
-//!   across the fit boundary can skip or warm-start their eigenstage), and
-//!   only changed/new users are sampled fresh. The fresh tail is shuffled
+//!   ground sets are byte-identical), and only changed/new users are
+//!   sampled fresh. The fresh tail is shuffled
 //!   with the trainer's historical Fisher–Yates; the frozen head keeps its
 //!   order.
 //!

@@ -17,8 +17,8 @@
 //!   plus `k` observed items and `n` sampled unobserved items (Section
 //!   III-B1), built either sequentially (S) or randomly (R).
 //! * [`plan`] — the epoch planning layer: flat-arena [`plan::EpochPlan`]s
-//!   produced under a [`plan::SamplingPolicy`] (resample / frozen /
-//!   periodic negatives) and cut into size-bucketed
+//!   produced under a [`plan::SamplingPolicy`] (resample or frozen
+//!   negatives) and cut into size-bucketed
 //!   [`plan::BatchSchedule`]s for uniform-size pool dispatches.
 //! * [`delta`] — interaction deltas for incremental refresh:
 //!   [`delta::DatasetDelta`] events merged by [`dataset::Dataset::merge_delta`]

@@ -1,15 +1,9 @@
 //! Epoch planning: persistent instance arenas, sampling policies, and the
 //! size-bucketed batch schedule.
 //!
-//! The stock training loop drew a fresh `k + n` ground set per target window
-//! every epoch, materialized as a `Vec<GroundSetInstance>` (two heap `Vec`s
-//! per instance, rebuilt per epoch) and consumed inline by the trainer. That
-//! coupling had two costs: the per-epoch allocation churn, and — more
-//! importantly — it hard-coded *resample every epoch*, which defeats the
-//! epoch-persistent spectral cache on full `fit` runs (its keys are
-//! `(user, ground set)` and a never-repeating sampler never revisits a key).
-//!
-//! This module extracts instance generation into a planning layer:
+//! Instance generation is a planning layer of its own, so the trainer
+//! neither allocates per-instance `Vec`s every epoch nor hard-codes *resample
+//! every epoch*:
 //!
 //! * [`EpochPlan`] — one epoch's instances in a single contiguous flat arena
 //!   (an items buffer plus per-instance `(user, k, offset, len)`
@@ -17,11 +11,9 @@
 //!   [`InstanceRef`]s.
 //! * [`SamplingPolicy`] — when plans are rebuilt:
 //!   [`SamplingPolicy::ResampleEachEpoch`] (the stock behavior, bitwise
-//!   identical trajectories to the historical inline sampler),
-//!   [`SamplingPolicy::FrozenNegatives`] (sample once, reuse every epoch so
-//!   every revisit hits the spectral cache), and
-//!   [`SamplingPolicy::PeriodicRefresh`] (resample every `period` epochs —
-//!   the middle ground between cache reuse and negative-set freshness).
+//!   identical trajectories to the historical inline sampler) and
+//!   [`SamplingPolicy::FrozenNegatives`] (sample once, reuse every epoch —
+//!   the discipline the refresh pipeline freezes unchanged users under).
 //! * [`EpochPlanner`] — drives an [`InstanceSampler`] under a policy,
 //!   owning the plan, its [`BatchSchedule`], and the sampling scratch
 //!   (negative-mask bitset, window buffer) across epochs.
@@ -46,16 +38,8 @@ pub enum SamplingPolicy {
     #[default]
     ResampleEachEpoch,
     /// Sample once at the first epoch and reuse the identical plan (same
-    /// instances, same order) for the whole run, so every revisit from
-    /// epoch 2 onward hits the per-worker spectral cache.
+    /// instances, same order) for the whole run.
     FrozenNegatives,
-    /// Resample every `period` epochs and reuse the plan in between —
-    /// cache reuse within a refresh window, fresh negatives across windows.
-    /// `period = 0` is clamped to 1 (identical to resampling each epoch).
-    PeriodicRefresh {
-        /// Epochs between resamples (≥ 1).
-        period: usize,
-    },
 }
 
 impl SamplingPolicy {
@@ -65,18 +49,6 @@ impl SamplingPolicy {
         match *self {
             SamplingPolicy::ResampleEachEpoch => true,
             SamplingPolicy::FrozenNegatives => epoch <= 1,
-            SamplingPolicy::PeriodicRefresh { period } => {
-                epoch <= 1 || (epoch - 1).is_multiple_of(period.max(1))
-            }
-        }
-    }
-
-    /// Short name for probes and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SamplingPolicy::ResampleEachEpoch => "resample",
-            SamplingPolicy::FrozenNegatives => "frozen",
-            SamplingPolicy::PeriodicRefresh { .. } => "periodic",
         }
     }
 }
@@ -157,7 +129,7 @@ impl EpochPlan {
     }
 
     /// The full ground set of instance `idx` — positives then negatives, as
-    /// one contiguous arena span (the identity the spectral cache keys on).
+    /// one contiguous arena span.
     pub fn ground_set(&self, idx: usize) -> &[usize] {
         let rec = self.records[idx];
         &self.items[rec.offset..rec.offset + rec.len]
@@ -352,7 +324,7 @@ pub struct PlanStats {
     /// Epochs that sampled a fresh plan.
     pub resamples: u64,
     /// Epochs that reused the frozen plan (no RNG consumed, identical
-    /// instances and order — every revisit can hit the spectral cache).
+    /// instances and order).
     pub reuses: u64,
     /// Instances per epoch in the most recent plan.
     pub instances: usize,
@@ -623,39 +595,13 @@ mod tests {
     }
 
     #[test]
-    fn periodic_refresh_resamples_on_schedule() {
-        let data = small_data();
-        let sampler = InstanceSampler::new(3, 3, TargetSelection::Sequential);
-        let mut planner =
-            EpochPlanner::new(sampler, SamplingPolicy::PeriodicRefresh { period: 3 }, 16);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut plans = Vec::new();
-        for epoch in 1..=7 {
-            plans.push(planner.plan_for_epoch(&data, epoch, &mut rng).0.clone());
-        }
-        // Epochs 1-3 share a plan, 4-6 share the next, 7 starts a third.
-        assert_eq!(plans[0], plans[1]);
-        assert_eq!(plans[0], plans[2]);
-        assert_ne!(plans[0], plans[3], "epoch 4 must resample");
-        assert_eq!(plans[3], plans[4]);
-        assert_eq!(plans[3], plans[5]);
-        assert_ne!(plans[3], plans[6], "epoch 7 must resample");
-        let stats = planner.stats();
-        assert_eq!((stats.resamples, stats.reuses), (3, 4));
-    }
-
-    #[test]
     fn resamples_at_covers_the_policy_table() {
         let resample = SamplingPolicy::ResampleEachEpoch;
         let frozen = SamplingPolicy::FrozenNegatives;
-        let periodic = SamplingPolicy::PeriodicRefresh { period: 2 };
         for epoch in 1..=6 {
             assert!(resample.resamples_at(epoch));
             assert_eq!(frozen.resamples_at(epoch), epoch == 1);
-            assert_eq!(periodic.resamples_at(epoch), epoch % 2 == 1);
         }
-        // period 0 clamps to 1.
-        assert!(SamplingPolicy::PeriodicRefresh { period: 0 }.resamples_at(5));
     }
 
     #[test]

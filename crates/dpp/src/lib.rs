@@ -27,10 +27,6 @@
 //! * [`workspace`] — the allocation-free per-instance training hot path:
 //!   one reusable [`DppWorkspace`] fuses kernel assembly, (dense or dual)
 //!   eigendecomposition, ESP normalizer, and gradient chain per instance.
-//! * [`spectral_cache`] — epoch-persistent cache of tailored-kernel
-//!   spectra keyed by `(user, ground set)`: revisits within a quality-drift
-//!   tolerance skip the eigen stage outright, drifted revisits warm-start
-//!   the solver from the cached basis.
 
 pub mod batch;
 pub mod conditional;
@@ -43,7 +39,6 @@ pub mod lowrank;
 pub mod map;
 pub mod map_dual;
 pub mod sampling;
-pub mod spectral_cache;
 pub mod workspace;
 
 pub use batch::{BatchSlot, DppBatchArena};
@@ -53,9 +48,6 @@ pub use kernel::DppKernel;
 pub use lowrank::LowRankKernel;
 pub use map::{greedy_map_with, MapResult, MapWorkspace};
 pub use map_dual::{greedy_map_dual_with, DualMapWorkspace, DUAL_BREAKDOWN_GUARD};
-pub use spectral_cache::{
-    SpectralCache, SpectralCacheEntry, SpectralCacheStats, SpectralDecision, SpectralSnapshot,
-};
 pub use workspace::{DppWorkspace, SpectrumPath, TailoredResult};
 
 /// Errors raised by DPP construction and inference.

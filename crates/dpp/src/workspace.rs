@@ -30,7 +30,6 @@
 
 use crate::batch::{BatchSlot, SlotState};
 use crate::esp::{self, LeaveOneOutScratch};
-use crate::spectral_cache::{SpectralCache, SpectralDecision};
 use lkp_linalg::{cholesky, eigen::EigenScratch, Matrix, SymmetricEigen};
 
 /// Relative threshold below which dual eigenvalues are folded into the flat
@@ -177,7 +176,7 @@ impl DppWorkspace {
     /// weights, `∇log Z_k`, subset log-dets, and the chain back into score
     /// gradients. Expects `self.q`, `self.lambda`, and the path-specific
     /// eigenbasis (`self.eigen` for dense, `self.item_vectors` for dual) to
-    /// be filled — by a fresh computation or by the spectral cache.
+    /// be filled — inline or by the batched eigen stage.
     fn finish_from_spectrum(
         &mut self,
         k_sub: &Matrix,
@@ -296,167 +295,6 @@ impl DppWorkspace {
         self.k_sub = k_sub;
         self.factor_rows = factor;
         result
-    }
-
-    /// [`DppWorkspace::tailored_loss_grad_staged`] consulting an
-    /// epoch-persistent [`SpectralCache`] for the eigendecomposition stage.
-    ///
-    /// `user` and `items` identify the instance for cache keying (`items` is
-    /// the ground set the staged `k_sub`/`factor_rows` were gathered for, in
-    /// order). On a revisit whose quality vector moved at most `cache.tol()`
-    /// in ∞-norm the cached spectrum is reused outright (the `O(m³)`/`O(d³)`
-    /// eigen stage is skipped); a larger drift warm-starts the solver from
-    /// the cached basis; everything else — first visits, changed ground
-    /// sets, invalidated cached decompositions after a solver failure — is a
-    /// cold recompute. A failed spectrum computation *removes* the entry, so
-    /// the next visit of that ground set is forced cold rather than reusing
-    /// poisoned state.
-    ///
-    /// Everything downstream of the spectrum (subset determinants, gradient
-    /// chain) always uses the *current* scores, so with `tol = 0` results
-    /// are bitwise identical to the uncached path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tailored_loss_grad_cached(
-        &mut self,
-        cache: &mut SpectralCache,
-        user: usize,
-        items: &[usize],
-        scores: &[f64],
-        k: usize,
-        negative_aware: bool,
-        use_factor: bool,
-        jitter: f64,
-        score_clamp: f64,
-    ) -> Option<TailoredResult> {
-        let k_sub = std::mem::take(&mut self.k_sub);
-        let factor = std::mem::take(&mut self.factor_rows);
-        let result = self.tailored_cached_inner(
-            cache,
-            user,
-            items,
-            scores,
-            &k_sub,
-            if use_factor { Some(&factor) } else { None },
-            k,
-            negative_aware,
-            jitter,
-            score_clamp,
-        );
-        self.k_sub = k_sub;
-        self.factor_rows = factor;
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn tailored_cached_inner(
-        &mut self,
-        cache: &mut SpectralCache,
-        user: usize,
-        items: &[usize],
-        scores: &[f64],
-        k_sub: &Matrix,
-        factor_rows: Option<&Matrix>,
-        k: usize,
-        negative_aware: bool,
-        jitter: f64,
-        score_clamp: f64,
-    ) -> Option<TailoredResult> {
-        let m = scores.len();
-        debug_assert_eq!(k_sub.shape(), (m, m));
-        debug_assert_eq!(items.len(), m);
-        if k > m {
-            return None;
-        }
-        if negative_aware && m != 2 * k {
-            return None;
-        }
-        self.prepare_quality(scores, score_clamp);
-
-        let path = match factor_rows {
-            Some(v_t) if v_t.cols() < m => {
-                debug_assert_eq!(v_t.rows(), m);
-                SpectrumPath::Dual
-            }
-            _ => SpectrumPath::Dense,
-        };
-        let key = SpectralCache::key_of(user, items);
-        let spectrum = match cache.classify(key, user, items, &self.q, path, jitter) {
-            SpectralDecision::Skip => {
-                let entry = cache.entry(key).expect("classified entry exists");
-                self.lambda.clear();
-                self.lambda.extend_from_slice(entry.lambda);
-                match path {
-                    SpectrumPath::Dense => {
-                        self.eigen.values.clear();
-                        self.eigen.values.extend_from_slice(&entry.eigen.values);
-                        self.eigen.vectors.copy_from(&entry.eigen.vectors);
-                    }
-                    SpectrumPath::Dual => {
-                        self.item_vectors.copy_from(entry.item_vectors);
-                    }
-                }
-                Some(false)
-            }
-            SpectralDecision::WarmStart => {
-                let computed = {
-                    let entry = cache.entry(key).expect("classified entry exists");
-                    match path {
-                        SpectrumPath::Dense => self.dense_spectrum_warm(k_sub, jitter, entry.eigen),
-                        SpectrumPath::Dual => {
-                            let v_t = factor_rows.expect("dual path requires factor rows");
-                            self.dual_spectrum_warm(v_t, jitter, entry.eigen)
-                        }
-                    }
-                };
-                computed.map(|()| true)
-            }
-            SpectralDecision::Cold => {
-                let computed = match path {
-                    SpectrumPath::Dense => self.dense_spectrum(k_sub, jitter),
-                    SpectrumPath::Dual => {
-                        let v_t = factor_rows.expect("dual path requires factor rows");
-                        self.dual_spectrum(v_t, jitter)
-                    }
-                };
-                computed.map(|()| true)
-            }
-        };
-        let store = match spectrum {
-            Some(store) => store,
-            None => {
-                // The eigen solver failed on this ground set: retire the
-                // entry so no poisoned decomposition can be revisited.
-                cache.remove(key);
-                return None;
-            }
-        };
-        if store {
-            match path {
-                SpectrumPath::Dense => cache.store(
-                    key,
-                    user,
-                    items,
-                    &self.q,
-                    path,
-                    jitter,
-                    &self.lambda,
-                    &self.eigen,
-                    None,
-                ),
-                SpectrumPath::Dual => cache.store(
-                    key,
-                    user,
-                    items,
-                    &self.q,
-                    path,
-                    jitter,
-                    &self.lambda,
-                    &self.dual_eigen,
-                    Some(&self.item_vectors),
-                ),
-            }
-        }
-        self.finish_from_spectrum(k_sub, k, negative_aware, jitter, path)
     }
 
     /// Stages one instance of a uniform-shape dispatch into an arena `slot`
@@ -581,22 +419,6 @@ impl DppWorkspace {
         Some(())
     }
 
-    /// [`DppWorkspace::dense_spectrum`] warm-started from a cached
-    /// decomposition of the same ground set's previous tailored kernel.
-    fn dense_spectrum_warm(
-        &mut self,
-        k_sub: &Matrix,
-        jitter: f64,
-        seed: &SymmetricEigen,
-    ) -> Option<()> {
-        self.assemble_dense(k_sub, jitter);
-        self.eigen
-            .compute_warm(&self.l, seed, &mut self.eig_scratch)
-            .ok()?;
-        self.eigen.clamped_nonnegative_values_into(&mut self.lambda);
-        Some(())
-    }
-
     /// Assembles `B = Diag(q)·V_T` and the dual Gram `BᵀB` into
     /// `self.b`/`self.dual`.
     fn assemble_dual(&mut self, v_t: &Matrix) {
@@ -614,22 +436,6 @@ impl DppWorkspace {
         self.assemble_dual(v_t);
         self.dual_eigen
             .compute_into(&self.dual, &mut self.eig_scratch)
-            .ok()?;
-        self.dual_finish(v_t.rows(), jitter);
-        Some(())
-    }
-
-    /// [`DppWorkspace::dual_spectrum`] with the dual Gram eigendecomposition
-    /// warm-started from a cached decomposition.
-    fn dual_spectrum_warm(
-        &mut self,
-        v_t: &Matrix,
-        jitter: f64,
-        seed: &SymmetricEigen,
-    ) -> Option<()> {
-        self.assemble_dual(v_t);
-        self.dual_eigen
-            .compute_warm(&self.dual, seed, &mut self.eig_scratch)
             .ok()?;
         self.dual_finish(v_t.rows(), jitter);
         Some(())
@@ -1059,197 +865,6 @@ mod tests {
         assert!(ws
             .tailored_loss_grad(&example_scores(m), &k_sub, None, 9, false, 1e-6, 30.0)
             .is_none());
-    }
-
-    /// Drives the cached entry point with staged buffers for one instance.
-    #[allow(clippy::too_many_arguments)]
-    fn cached_call(
-        ws: &mut DppWorkspace,
-        cache: &mut crate::SpectralCache,
-        kernel: &LowRankKernel,
-        user: usize,
-        items: &[usize],
-        scores: &[f64],
-        k: usize,
-        use_factor: bool,
-    ) -> Option<TailoredResult> {
-        kernel.submatrix_into(items, &mut ws.k_sub).unwrap();
-        kernel.gather_rows_into(items, &mut ws.factor_rows).unwrap();
-        ws.tailored_loss_grad_cached(cache, user, items, scores, k, false, use_factor, 1e-6, 30.0)
-    }
-
-    #[test]
-    fn cached_skip_is_bitwise_identical_to_uncached() {
-        // Same scores revisited: with any tol the drift is 0 → skip, and the
-        // reused spectrum is bitwise the one a recompute would produce.
-        for use_factor in [false, true] {
-            let m = 8;
-            let d = if use_factor { 4 } else { 10 };
-            let kernel = example_kernel(20, d);
-            let items: Vec<usize> = (2..2 + m).collect();
-            let scores = example_scores(m);
-
-            let mut ws_ref = DppWorkspace::new();
-            kernel.submatrix_into(&items, &mut ws_ref.k_sub).unwrap();
-            kernel
-                .gather_rows_into(&items, &mut ws_ref.factor_rows)
-                .unwrap();
-            let reference = ws_ref
-                .tailored_loss_grad_staged(&scores, 4, false, use_factor, 1e-6, 30.0)
-                .unwrap();
-
-            let mut ws = DppWorkspace::new();
-            let mut cache = crate::SpectralCache::new(0.0, 64);
-            let first = cached_call(
-                &mut ws, &mut cache, &kernel, 7, &items, &scores, 4, use_factor,
-            )
-            .unwrap();
-            let second = cached_call(
-                &mut ws, &mut cache, &kernel, 7, &items, &scores, 4, use_factor,
-            )
-            .unwrap();
-            assert_eq!(first.path, reference.path);
-            assert_eq!(first.loss.to_bits(), reference.loss.to_bits());
-            assert_eq!(second.loss.to_bits(), reference.loss.to_bits());
-            for (a, b) in ws.dscores().iter().zip(ws_ref.dscores()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "use_factor={use_factor}");
-            }
-            let stats = cache.stats();
-            assert_eq!((stats.cold, stats.skips), (1, 1), "use_factor={use_factor}");
-        }
-    }
-
-    #[test]
-    fn cached_warm_start_matches_uncached_to_solver_roundoff() {
-        for use_factor in [false, true] {
-            let m = 8;
-            let d = if use_factor { 4 } else { 10 };
-            let kernel = example_kernel(20, d);
-            let items: Vec<usize> = (0..m).collect();
-            let scores = example_scores(m);
-
-            let mut ws = DppWorkspace::new();
-            let mut cache = crate::SpectralCache::new(1e-9, 64);
-            cached_call(
-                &mut ws, &mut cache, &kernel, 3, &items, &scores, 4, use_factor,
-            )
-            .unwrap();
-
-            // Drift the scores well past tol → warm start.
-            let drifted: Vec<f64> = scores.iter().map(|s| s + 1e-3).collect();
-            let warm = cached_call(
-                &mut ws, &mut cache, &kernel, 3, &items, &drifted, 4, use_factor,
-            )
-            .unwrap();
-            assert_eq!(cache.stats().warm_starts, 1, "use_factor={use_factor}");
-
-            let mut ws_ref = DppWorkspace::new();
-            kernel.submatrix_into(&items, &mut ws_ref.k_sub).unwrap();
-            kernel
-                .gather_rows_into(&items, &mut ws_ref.factor_rows)
-                .unwrap();
-            let exact = ws_ref
-                .tailored_loss_grad_staged(&drifted, 4, false, use_factor, 1e-6, 30.0)
-                .unwrap();
-            assert!(
-                (warm.loss - exact.loss).abs() < 1e-9,
-                "use_factor={use_factor}: warm {} vs exact {}",
-                warm.loss,
-                exact.loss
-            );
-            for (a, b) in ws.dscores().iter().zip(ws_ref.dscores()) {
-                assert!((a - b).abs() < 1e-8, "use_factor={use_factor}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_skip_approximation_stays_within_tolerance() {
-        // Tiny drift under tol → skip; the approximated loss must stay close
-        // to the exact one (the spectrum moved O(drift)).
-        let m = 8;
-        let kernel = example_kernel(20, 10);
-        let items: Vec<usize> = (0..m).collect();
-        let scores = example_scores(m);
-        let mut ws = DppWorkspace::new();
-        let mut cache = crate::SpectralCache::new(1e-6, 64);
-        cached_call(&mut ws, &mut cache, &kernel, 0, &items, &scores, 4, false).unwrap();
-        let drifted: Vec<f64> = scores.iter().map(|s| s + 1e-8).collect();
-        let skipped =
-            cached_call(&mut ws, &mut cache, &kernel, 0, &items, &drifted, 4, false).unwrap();
-        assert_eq!(cache.stats().skips, 1);
-        let mut ws_ref = DppWorkspace::new();
-        let exact = ws_ref
-            .tailored_loss_grad(
-                &drifted,
-                &kernel.submatrix(&items).unwrap(),
-                None,
-                4,
-                false,
-                1e-6,
-                30.0,
-            )
-            .unwrap();
-        assert!(
-            (skipped.loss - exact.loss).abs() < 1e-6,
-            "skip drifted too far: {} vs {}",
-            skipped.loss,
-            exact.loss
-        );
-    }
-
-    #[test]
-    fn failed_spectrum_retires_the_cache_entry() {
-        let m = 6;
-        let kernel = example_kernel(12, 8);
-        let items: Vec<usize> = (0..m).collect();
-        let scores = example_scores(m);
-        let mut ws = DppWorkspace::new();
-        let mut cache = crate::SpectralCache::new(1e-4, 64);
-        cached_call(&mut ws, &mut cache, &kernel, 1, &items, &scores, 3, false).unwrap();
-        assert_eq!(cache.len(), 1);
-        // NaN scores: quality is non-finite → classify goes cold, the eigen
-        // solver fails, and the entry must be removed.
-        let poisoned = vec![f64::NAN; m];
-        assert!(
-            cached_call(&mut ws, &mut cache, &kernel, 1, &items, &poisoned, 3, false).is_none()
-        );
-        assert_eq!(cache.len(), 0, "failed spectrum must retire the entry");
-        // The next good visit is a forced cold recompute, identical to an
-        // uncached evaluation.
-        let recovered =
-            cached_call(&mut ws, &mut cache, &kernel, 1, &items, &scores, 3, false).unwrap();
-        let mut ws_ref = DppWorkspace::new();
-        let exact = ws_ref
-            .tailored_loss_grad(
-                &scores,
-                &kernel.submatrix(&items).unwrap(),
-                None,
-                3,
-                false,
-                1e-6,
-                30.0,
-            )
-            .unwrap();
-        assert_eq!(recovered.loss.to_bits(), exact.loss.to_bits());
-        assert_eq!(cache.stats().cold, 3);
-    }
-
-    #[test]
-    fn changed_ground_set_is_a_cold_recompute() {
-        let kernel = example_kernel(20, 10);
-        let scores = example_scores(6);
-        let mut ws = DppWorkspace::new();
-        let mut cache = crate::SpectralCache::new(1.0, 64);
-        let a: Vec<usize> = (0..6).collect();
-        let b: Vec<usize> = (6..12).collect();
-        cached_call(&mut ws, &mut cache, &kernel, 2, &a, &scores, 3, false).unwrap();
-        cached_call(&mut ws, &mut cache, &kernel, 2, &b, &scores, 3, false).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.cold, 2);
-        assert_eq!(stats.skips, 0);
-        // Both ground sets are now resident (distinct keys).
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -6,13 +6,6 @@
 //! (`tred2`) followed by the implicit-shift QL iteration (`tql2`), following
 //! the well-studied EISPACK formulation. This is exact to round-off for the
 //! small symmetric matrices this workspace produces, and has no dependencies.
-//!
-//! For matrices that *recur* with small perturbations (the spectral cache's
-//! epoch-to-epoch revisits), [`SymmetricEigen::compute_warm`] seeds the
-//! solver with a previous decomposition: rotating the new matrix into the
-//! cached eigenbasis (`T = V₀ᵀ·A·V₀`) leaves a nearly diagonal matrix, which
-//! threshold-cyclic Jacobi sweeps finish in a handful of rotations instead
-//! of a full Householder + QL pass.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -29,27 +22,13 @@ pub struct SymmetricEigen {
 /// Maximum QL iterations per eigenvalue before giving up.
 const MAX_ITER: usize = 64;
 
-/// Maximum threshold-Jacobi sweeps in the warm-start path before falling
-/// back to the cold Householder + QL solver. Quadratic convergence means a
-/// genuinely warm seed finishes in 1–3 sweeps; more than this signals the
-/// matrix drifted too far for the seed to help.
-const MAX_WARM_SWEEPS: usize = 8;
-
-/// Reusable scratch for [`SymmetricEigen::compute_into`] and
-/// [`SymmetricEigen::compute_warm`]: the tridiagonal off-diagonal buffer and
-/// the warm path's rotated-matrix buffers, kept across calls so a
-/// steady-state decomposition performs no heap allocation.
+/// Reusable scratch for [`SymmetricEigen::compute_into`]: the tridiagonal
+/// off-diagonal buffer, kept across calls so a steady-state decomposition
+/// performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct EigenScratch {
     /// Off-diagonal workspace of the Householder/QL passes.
     e: Vec<f64>,
-    /// Symmetrized copy of the input (warm path).
-    sym: Matrix,
-    /// Product `A·V₀` (warm path).
-    av: Matrix,
-    /// Rotated matrix `T = V₀ᵀ·A·V₀`, driven to diagonal by Jacobi sweeps
-    /// (warm path).
-    t: Matrix,
 }
 
 impl SymmetricEigen {
@@ -78,8 +57,7 @@ impl SymmetricEigen {
     /// **invalidated** ([`SymmetricEigen::invalidate`]): `values` and
     /// `vectors` are cleared so stale spectra can never be mistaken for the
     /// failed computation's result — [`SymmetricEigen::is_valid`] returns
-    /// `false` and any consumer caching decompositions must treat it as a
-    /// forced cold recompute.
+    /// `false`.
     pub fn compute_into(&mut self, a: &Matrix, scratch: &mut EigenScratch) -> Result<()> {
         self.try_compute_into(a, scratch).inspect_err(|_| {
             self.invalidate();
@@ -112,177 +90,9 @@ impl SymmetricEigen {
         Ok(())
     }
 
-    /// Recomputes the decomposition of `a`, warm-started from `prev` — a
-    /// decomposition of a nearby matrix (typically the same kernel one epoch
-    /// earlier).
-    ///
-    /// Rotates `a` into the seed eigenbasis (`T = V₀ᵀ·A·V₀`, nearly diagonal
-    /// when `a` is close to `prev`'s matrix) and finishes with
-    /// threshold-cyclic Jacobi sweeps, accumulating the rotations into the
-    /// seed basis. Converges quadratically from a warm seed; if the seed is
-    /// unusable (wrong dimension, invalidated) or the sweeps fail to
-    /// converge within [`MAX_WARM_SWEEPS`], falls back to the cold
-    /// [`SymmetricEigen::compute_into`] path on the same inputs.
-    ///
-    /// Returns `Ok(true)` when the warm path produced the decomposition and
-    /// `Ok(false)` when the cold fallback ran. On error `self` is
-    /// invalidated, exactly as in `compute_into`.
-    pub fn compute_warm(
-        &mut self,
-        a: &Matrix,
-        prev: &SymmetricEigen,
-        scratch: &mut EigenScratch,
-    ) -> Result<bool> {
-        if !a.is_square() {
-            self.invalidate();
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if !prev.is_valid() || prev.dim() != a.rows() {
-            return self.compute_into(a, scratch).map(|()| false);
-        }
-        self.vectors.copy_from(&prev.vectors);
-        if self.warm_core(a, scratch) {
-            Ok(true)
-        } else {
-            self.compute_into(a, scratch).map(|()| false)
-        }
-    }
-
-    /// [`SymmetricEigen::compute_warm`] seeded from `self`'s own current
-    /// decomposition — the natural shape for a cache slot that re-solves its
-    /// own matrix after a small perturbation.
-    pub fn recompute_warm(&mut self, a: &Matrix, scratch: &mut EigenScratch) -> Result<bool> {
-        if !a.is_square() {
-            self.invalidate();
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if !self.is_valid() || self.dim() != a.rows() {
-            return self.compute_into(a, scratch).map(|()| false);
-        }
-        if self.warm_core(a, scratch) {
-            Ok(true)
-        } else {
-            self.compute_into(a, scratch).map(|()| false)
-        }
-    }
-
-    /// The warm-start kernel: assumes `self.vectors` holds an orthonormal
-    /// seed basis for `a`'s dimension. Returns `true` on convergence with
-    /// finite eigenvalues (decomposition complete), `false` when the caller
-    /// must fall back to the cold path.
-    fn warm_core(&mut self, a: &Matrix, scratch: &mut EigenScratch) -> bool {
-        let n = a.rows();
-        // T = V₀ᵀ·sym(A)·V₀ in reused scratch.
-        scratch.sym.copy_from(a);
-        scratch.sym.symmetrize();
-        scratch
-            .sym
-            .matmul_into(&self.vectors, &mut scratch.av)
-            .expect("square times square");
-        let t = &mut scratch.t;
-        t.reset(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += self.vectors[(k, i)] * scratch.av[(k, j)];
-                }
-                t[(i, j)] = acc;
-            }
-        }
-
-        let eps = 2.0_f64.powi(-52);
-        let mut converged = false;
-        for _sweep in 0..MAX_WARM_SWEEPS {
-            // Convergence scale: largest diagonal + largest off-diagonal
-            // magnitude (NaN-resistant — f64::max ignores NaN operands, and
-            // the final finite check below catches a NaN-only matrix).
-            let mut diag_scale = 0.0_f64;
-            let mut off_max = 0.0_f64;
-            for i in 0..n {
-                diag_scale = diag_scale.max(t[(i, i)].abs());
-                for j in (i + 1)..n {
-                    off_max = off_max.max(t[(i, j)].abs());
-                }
-            }
-            let tst = diag_scale + off_max;
-            if tst == 0.0 || off_max <= eps * tst {
-                converged = true;
-                break;
-            }
-            let thresh = eps * tst;
-            let mut rotated = false;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = t[(p, q)];
-                    // NaN-hostile gate: a NaN off-diagonal compares false
-                    // and is skipped (the finite check below rejects it).
-                    if apq.abs() <= thresh || apq.is_nan() {
-                        continue;
-                    }
-                    rotated = true;
-                    // Classic Jacobi rotation annihilating T[p,q].
-                    let theta = (t[(q, q)] - t[(p, p)]) / (2.0 * apq);
-                    let tan = if theta >= 0.0 {
-                        1.0 / (theta + (theta * theta + 1.0).sqrt())
-                    } else {
-                        1.0 / (theta - (theta * theta + 1.0).sqrt())
-                    };
-                    let c = 1.0 / (tan * tan + 1.0).sqrt();
-                    let s = tan * c;
-                    // T ← Jᵀ·T·J (columns then rows), V ← V·J.
-                    for k in 0..n {
-                        let tkp = t[(k, p)];
-                        let tkq = t[(k, q)];
-                        t[(k, p)] = c * tkp - s * tkq;
-                        t[(k, q)] = s * tkp + c * tkq;
-                    }
-                    for k in 0..n {
-                        let tpk = t[(p, k)];
-                        let tqk = t[(q, k)];
-                        t[(p, k)] = c * tpk - s * tqk;
-                        t[(q, k)] = s * tpk + c * tqk;
-                    }
-                    t[(p, q)] = 0.0;
-                    t[(q, p)] = 0.0;
-                    for k in 0..n {
-                        let vkp = self.vectors[(k, p)];
-                        let vkq = self.vectors[(k, q)];
-                        self.vectors[(k, p)] = c * vkp - s * vkq;
-                        self.vectors[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-            if !rotated {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return false;
-        }
-        // A NaN-poisoned matrix can sail through the NaN-ignoring max-based
-        // convergence test; refuse to report success with non-finite values.
-        if (0..n).any(|i| !t[(i, i)].is_finite()) {
-            return false;
-        }
-        self.values.clear();
-        self.values.extend((0..n).map(|i| t[(i, i)]));
-        sort_ascending(&mut self.vectors, &mut self.values);
-        true
-    }
-
     /// Clears the decomposition so it can never be reused: `values` and
     /// `vectors` become empty and [`SymmetricEigen::is_valid`] returns
-    /// `false`. Called automatically on every `compute_*` error path;
-    /// consumers that cache decompositions can also call it to retire an
-    /// entry explicitly.
+    /// `false`. Called automatically on every `compute_*` error path.
     pub fn invalidate(&mut self) {
         self.values.clear();
         self.vectors.reset(0, 0);
@@ -291,8 +101,7 @@ impl SymmetricEigen {
     /// Whether this value holds a usable decomposition: non-empty, with an
     /// eigenvector matrix matching the eigenvalue count. A decomposition of
     /// a `0 × 0` matrix is indistinguishable from an invalidated one and
-    /// reports `false` — cache consumers treat both as "recompute", which is
-    /// free at dimension zero.
+    /// reports `false`.
     pub fn is_valid(&self) -> bool {
         !self.values.is_empty() && self.vectors.shape() == (self.values.len(), self.values.len())
     }
@@ -707,96 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_on_perturbed_matrix() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 1.0, -0.5, 0.2],
-            &[1.0, 3.0, 0.7, -0.1],
-            &[-0.5, 0.7, 2.0, 0.3],
-            &[0.2, -0.1, 0.3, 1.0],
-        ]);
-        let seed = SymmetricEigen::new(&a).unwrap();
-        // Perturb symmetrically by ~1e-4.
-        let mut b = a.clone();
-        for i in 0..4 {
-            for j in 0..4 {
-                b[(i, j)] += 1e-4 * (((i * 3 + j * 5) % 7) as f64 - 3.0);
-            }
-        }
-        b.symmetrize();
-        let mut scratch = EigenScratch::default();
-        let mut cold = SymmetricEigen::default();
-        cold.compute_into(&b, &mut scratch).unwrap();
-        let mut warm = SymmetricEigen::default();
-        let used_warm = warm.compute_warm(&b, &seed, &mut scratch).unwrap();
-        assert!(used_warm, "close seed must take the warm path");
-        for (w, c) in warm.values.iter().zip(&cold.values) {
-            assert_close(*w, *c, 1e-12);
-        }
-        assert!(warm.reconstruct().max_abs_diff(&b) < 1e-12);
-        let vtv = warm.vectors.transpose().matmul(&warm.vectors).unwrap();
-        assert!(vtv.max_abs_diff(&Matrix::identity(4)) < 1e-12);
-    }
-
-    #[test]
-    fn recompute_warm_is_self_seeding() {
-        let a = Matrix::from_rows(&[&[2.0, 0.3], &[0.3, 1.0]]);
-        let mut eig = SymmetricEigen::new(&a).unwrap();
-        let mut b = a.clone();
-        b[(0, 1)] += 1e-6;
-        b[(1, 0)] += 1e-6;
-        let mut scratch = EigenScratch::default();
-        let used_warm = eig.recompute_warm(&b, &mut scratch).unwrap();
-        assert!(used_warm);
-        let cold = SymmetricEigen::new(&b).unwrap();
-        for (w, c) in eig.values.iter().zip(&cold.values) {
-            assert_close(*w, *c, 1e-12);
-        }
-    }
-
-    #[test]
-    fn warm_start_with_unusable_seed_falls_back_to_cold() {
-        let b = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let mut scratch = EigenScratch::default();
-        // Wrong-dimension seed.
-        let seed = SymmetricEigen::new(&Matrix::identity(3)).unwrap();
-        let mut out = SymmetricEigen::default();
-        let used_warm = out.compute_warm(&b, &seed, &mut scratch).unwrap();
-        assert!(!used_warm);
-        let cold = SymmetricEigen::new(&b).unwrap();
-        for (w, c) in out.values.iter().zip(&cold.values) {
-            assert_eq!(w.to_bits(), c.to_bits(), "fallback must be the cold path");
-        }
-        // Invalidated seed.
-        let mut bad_seed = SymmetricEigen::new(&b).unwrap();
-        bad_seed.invalidate();
-        assert!(!bad_seed.is_valid());
-        let used_warm = out.compute_warm(&b, &bad_seed, &mut scratch).unwrap();
-        assert!(!used_warm);
-    }
-
-    #[test]
-    fn distant_seed_still_yields_a_correct_decomposition() {
-        // A seed from a completely unrelated matrix: the warm path either
-        // converges (Jacobi is globally convergent) or falls back — both
-        // must produce the right spectrum.
-        let seed = SymmetricEigen::new(&Matrix::from_rows(&[
-            &[1.0, 0.9, 0.0],
-            &[0.9, 1.0, 0.9],
-            &[0.0, 0.9, 1.0],
-        ]))
-        .unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 2.0, 1.0], &[2.0, 4.0, 0.5], &[1.0, 0.5, 3.0]]);
-        let mut scratch = EigenScratch::default();
-        let mut out = SymmetricEigen::default();
-        out.compute_warm(&b, &seed, &mut scratch).unwrap();
-        let cold = SymmetricEigen::new(&b).unwrap();
-        for (w, c) in out.values.iter().zip(&cold.values) {
-            assert_close(*w, *c, 1e-10);
-        }
-        assert!(out.reconstruct().max_abs_diff(&b) < 1e-10);
-    }
-
-    #[test]
     fn failed_compute_invalidates_the_decomposition() {
         // A NaN entry defeats the QL convergence test deterministically:
         // compute_into must error *and* leave the value invalidated rather
@@ -812,12 +531,6 @@ mod tests {
         assert!(matches!(err, Err(LinalgError::NoConvergence { .. })));
         assert!(!eig.is_valid(), "error must invalidate the decomposition");
         assert!(eig.values.is_empty());
-        // Warm path on the poisoned matrix: same error, same invalidation.
-        let seed = SymmetricEigen::new(&good).unwrap();
-        let mut warm = SymmetricEigen::new(&good).unwrap();
-        let err = warm.compute_warm(&poisoned, &seed, &mut scratch);
-        assert!(err.is_err());
-        assert!(!warm.is_valid());
         // The invalidated value recovers on the next successful compute.
         eig.compute_into(&good, &mut scratch).unwrap();
         assert!(eig.is_valid());

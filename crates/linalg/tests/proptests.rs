@@ -90,64 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn warm_start_agrees_with_cold_on_perturbed_psd(
-        a in spd_strategy(6),
-        delta in matrix_strategy(6, 6),
-        scale in 0.0..1e-3_f64,
-    ) {
-        // The spectral-cache revisit shape: decompose A, perturb it by a
-        // small symmetric delta, and re-solve warm-started from the cached
-        // decomposition. Warm and cold must agree to ≤ 1e-10 on the
-        // spectrum, the reconstruction, and orthonormality.
-        use lkp_linalg::eigen::EigenScratch;
-        let seed = SymmetricEigen::new(&a).unwrap();
-        let mut b = a.clone();
-        let mut sym_delta = delta;
-        sym_delta.symmetrize();
-        b.add_scaled(scale, &sym_delta).unwrap();
-
-        let mut scratch = EigenScratch::default();
-        let mut cold = SymmetricEigen::default();
-        cold.compute_into(&b, &mut scratch).unwrap();
-        let mut warm = SymmetricEigen::default();
-        let used_warm = warm.compute_warm(&b, &seed, &mut scratch).unwrap();
-        prop_assert!(used_warm, "a perturbation this small must take the warm path");
-
-        let scale_ref = cold.values.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
-        for (w, c) in warm.values.iter().zip(&cold.values) {
-            prop_assert!((w - c).abs() <= 1e-10 * scale_ref, "eigenvalue {w} vs {c}");
-        }
-        prop_assert!(warm.reconstruct().max_abs_diff(&b) <= 1e-10 * scale_ref.max(1.0));
-        let vtv = warm.vectors.transpose().matmul(&warm.vectors).unwrap();
-        prop_assert!(vtv.max_abs_diff(&Matrix::identity(6)) <= 1e-12);
-    }
-
-    #[test]
-    fn self_seeded_warm_recompute_tracks_a_drifting_matrix(
-        a in spd_strategy(5),
-        delta in matrix_strategy(5, 5),
-    ) {
-        // Drive one decomposition through several small drifts, re-solving
-        // warm from itself each time (the cache-slot usage pattern); it must
-        // track the exact spectrum throughout.
-        use lkp_linalg::eigen::EigenScratch;
-        let mut scratch = EigenScratch::default();
-        let mut tracked = SymmetricEigen::new(&a).unwrap();
-        let mut current = a.clone();
-        let mut sym_delta = delta;
-        sym_delta.symmetrize();
-        for _ in 0..4 {
-            current.add_scaled(1e-4, &sym_delta).unwrap();
-            tracked.recompute_warm(&current, &mut scratch).unwrap();
-            let cold = SymmetricEigen::new(&current).unwrap();
-            let scale_ref = cold.values.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
-            for (w, c) in tracked.values.iter().zip(&cold.values) {
-                prop_assert!((w - c).abs() <= 1e-10 * scale_ref, "{w} vs {c}");
-            }
-        }
-    }
-
-    #[test]
     fn csr_spmm_matches_dense(
         triplets in proptest::collection::vec((0usize..6, 0usize..6, -2.0..2.0_f64), 0..20),
         dense in matrix_strategy(6, 3),

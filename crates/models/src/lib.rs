@@ -67,26 +67,6 @@ pub trait Recommender {
     /// Applies one optimizer step and clears accumulated gradients.
     fn step(&mut self);
 
-    /// Applies one **EM-style fixed-point score update** for a single
-    /// instance: given `∂loss/∂score` over `items`, immediately moves the
-    /// parameters so the instance's scores `ŷ` take a plain damped step
-    /// `ŷ ← ŷ − rate·g` — equivalently, the kernel qualities take the
-    /// multiplicative update `q ← q·exp(−rate·g)` that Gillenwater-style EM
-    /// performs on DPP parameters, keeping `q` positive by construction.
-    ///
-    /// Unlike [`Recommender::accumulate_score_grads`] + [`Recommender::step`]
-    /// this is applied per instance, un-preconditioned (no optimizer
-    /// moments), with `rate` as the damping factor. The default falls back
-    /// to gradient accumulation — the trainer still calls `step` at batch
-    /// end, so models without a native fixed-point form are updated through
-    /// their own optimizer and `rate` is ignored. Models with closed-form
-    /// score parameterizations (e.g. [`MatrixFactorization`]) override this
-    /// with a direct simultaneous row update.
-    fn em_score_step(&mut self, user: usize, items: &[usize], dscores: &[f64], rate: f64) {
-        let _ = rate;
-        self.accumulate_score_grads(user, items, dscores);
-    }
-
     /// Hook called at the start of every epoch (cache refresh etc.).
     fn begin_epoch(&mut self) {}
 }

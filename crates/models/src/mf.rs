@@ -12,9 +12,6 @@ pub struct MatrixFactorization {
     items: EmbeddingTable,
     /// Reused user-gradient row for [`Recommender::accumulate_score_grads`].
     scratch: Vec<f64>,
-    /// Reused pre-update copy of `p_u` for [`Recommender::em_score_step`]
-    /// (the simultaneous update reads old values on both sides).
-    scratch_em: Vec<f64>,
 }
 
 impl MatrixFactorization {
@@ -30,7 +27,6 @@ impl MatrixFactorization {
             users: EmbeddingTable::new(n_users, dim, 0.1, config, rng),
             items: EmbeddingTable::new(n_items, dim, 0.1, config, rng),
             scratch: Vec::new(),
-            scratch_em: Vec::new(),
         }
     }
 
@@ -143,37 +139,6 @@ impl Recommender for MatrixFactorization {
         self.users.step();
         self.items.step();
     }
-
-    fn em_score_step(&mut self, user: usize, items: &[usize], dscores: &[f64], rate: f64) {
-        debug_assert_eq!(items.len(), dscores.len());
-        let dim = self.dim();
-        // Simultaneous update: both sides read pre-step values, so copy
-        // `p_u` out and accumulate its gradient before touching any row.
-        self.scratch_em.clear();
-        self.scratch_em.extend_from_slice(self.users.row(user));
-        self.scratch.clear();
-        self.scratch.resize(dim, 0.0);
-        for (&i, &ds) in items.iter().zip(dscores) {
-            if ds == 0.0 {
-                continue;
-            }
-            // ŷ = ⟨p_u, q_i⟩: the damped step ŷ ← ŷ − rate·g is
-            // p_u ← p_u − rate·g·q_i and q_i ← q_i − rate·g·p_u, applied
-            // directly — no optimizer moments, `rate` is the EM damping.
-            let q = self.items.row(i);
-            for (a, &b) in self.scratch.iter_mut().zip(q) {
-                *a += ds * b;
-            }
-            let item_matrix = self.items.matrix_mut();
-            for (c, &p) in self.scratch_em.iter().enumerate() {
-                item_matrix[(i, c)] -= rate * ds * p;
-            }
-        }
-        let user_matrix = self.users.matrix_mut();
-        for (c, &du) in self.scratch.iter().enumerate() {
-            user_matrix[(user, c)] -= rate * du;
-        }
-    }
 }
 
 impl ItemEmbeddings for MatrixFactorization {
@@ -263,52 +228,6 @@ mod tests {
         bumped.items.matrix_mut()[(item, 0)] += h;
         let fd = (bumped.score_items(user, &[item])[0] - base) / h;
         assert!((fd - p[0]).abs() < 1e-6, "fd {fd} vs analytic {}", p[0]);
-    }
-
-    #[test]
-    fn em_score_step_is_the_simultaneous_plain_sgd_update() {
-        let mut m = model();
-        let user = 1;
-        let items = [0usize, 3, 5];
-        let dscores = [0.4, -1.0, 0.0];
-        let rate = 0.07;
-        let p_old = m.user_embedding(user).to_vec();
-        let q_old: Vec<Vec<f64>> = items
-            .iter()
-            .map(|&i| m.item_embedding(i).to_vec())
-            .collect();
-        m.em_score_step(user, &items, &dscores, rate);
-        // p_u ← p_u − rate·Σ ds_i·q_i, all reads against pre-step values.
-        for c in 0..m.dim() {
-            let du: f64 = dscores.iter().zip(&q_old).map(|(&ds, q)| ds * q[c]).sum();
-            let expect = p_old[c] - rate * du;
-            assert!((m.user_embedding(user)[c] - expect).abs() < 1e-15);
-        }
-        // q_i ← q_i − rate·ds_i·p_u (old); ds = 0 rows untouched bitwise.
-        for ((&i, &ds), q) in items.iter().zip(&dscores).zip(&q_old) {
-            for c in 0..m.dim() {
-                let expect = q[c] - rate * ds * p_old[c];
-                if ds == 0.0 {
-                    assert_eq!(m.item_embedding(i)[c], q[c]);
-                } else {
-                    assert!((m.item_embedding(i)[c] - expect).abs() < 1e-15);
-                }
-            }
-        }
-        // No optimizer state was touched: a subsequent step() is a no-op.
-        let snapshot = m.score_items(user, &items);
-        m.step();
-        assert_eq!(m.score_items(user, &items), snapshot);
-    }
-
-    #[test]
-    fn em_score_step_damps_scores_toward_lower_loss() {
-        let mut m = model();
-        let before = m.score_items(2, &[1])[0];
-        // loss = -score → g = -1 → ŷ must rise under ŷ ← ŷ − rate·g.
-        m.em_score_step(2, &[1], &[-1.0], 0.1);
-        let after = m.score_items(2, &[1])[0];
-        assert!(after > before, "{before} -> {after}");
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl WorkerState {
     /// Borrows two *distinct* slots simultaneously, creating either with its
     /// `Default` on first use — the shape consumers need when one job
     /// threads two pieces of persistent state through the same call (e.g.
-    /// the trainer's `DppWorkspace` plus its `SpectralCache`).
+    /// the trainer's `DppWorkspace` plus its `DppBatchArena`).
     ///
     /// Panics if `A` and `B` are the same type (one slot cannot be borrowed
     /// mutably twice).

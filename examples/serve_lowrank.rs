@@ -11,8 +11,7 @@
 //! 1. **equality** — at `|C| = 1600` the dual path serves the same top-10
 //!    list as the dense path for every request;
 //! 2. **speed** — cold (cache disabled), the dual path is at least 2×
-//!    faster per request (the bench probe's bar is 3×; the example keeps a
-//!    CI-safe margin);
+//!    faster per request (a CI-safe margin below the measured gap);
 //! 3. **hybrid routing under the driver** — with
 //!    `min_candidates` between the degraded rerank head and the full pool,
 //!    full requests ride the dual path while head-capped requests stay

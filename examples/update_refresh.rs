@@ -1,8 +1,8 @@
 //! Incremental model refresh end to end: a warm base fit, a stream of new
 //! interactions, a delta-fit (`Trainer::update`) that freezes unchanged
-//! users and carries their spectral-cache entries across the fit boundary,
-//! and a zero-downtime landing in a live [`FrontendDriver`] via
-//! [`RankingArtifact::refresh_from`] + `swap_artifact`.
+//! users' ground sets, and a zero-downtime landing in a live
+//! [`FrontendDriver`] via [`RankingArtifact::refresh_from`] +
+//! `swap_artifact`.
 //!
 //! ```text
 //! cargo run --release --example update_refresh
@@ -13,8 +13,7 @@
 //! 1. **empty-delta no-op** — refreshing with no new interactions leaves
 //!    the model bitwise untouched and serves bitwise the base artifact;
 //! 2. **delta-fit economy** — a real delta freezes most instances (only
-//!    changed users resample) and adopts the base fit's spectral entries,
-//!    so revisits warm-start instead of re-decomposing;
+//!    changed users resample) and runs only `update_epochs` epochs;
 //! 3. **per-generation fidelity** — the swapped refresh serves bitwise
 //!    what a direct batch on the refreshed artifact serves;
 //! 4. **zero post-swap assembly misses** — the swap stages every planned
@@ -54,9 +53,9 @@ fn main() {
         &mut rng,
     );
 
-    // The base fit captures a TrainedState: the merged dataset, the final
+    // The base fit captures a TrainedState: the merged dataset and the final
     // epoch plan (frozen negatives, so it is the plan every epoch trained
-    // on), and the exported spectral-cache entries.
+    // on).
     let cfg = TrainConfig {
         epochs: 4,
         eval_every: 0,
@@ -64,7 +63,6 @@ fn main() {
         k: 4,
         n: 4,
         sampling_policy: SamplingPolicy::FrozenNegatives,
-        spectral_tol: 1e-2,
         threads: 2,
         ..Default::default()
     };
@@ -72,9 +70,8 @@ fn main() {
     let (_, base) = Trainer::new(cfg.clone()).fit_state(&mut model, &mut objective, &data);
     let artifact_v1 = RankingArtifact::from_trained(&model, &objective);
     println!(
-        "base fit done: {} plan instances captured, {} spectral entries exported",
-        base.plan().len(),
-        base.spectral().len()
+        "base fit done: {} plan instances captured",
+        base.plan().len()
     );
 
     // An empty delta is a strict no-op: nothing trains, nothing moves.
@@ -100,13 +97,12 @@ fn main() {
         }
     }
 
-    // The delta-fit: unchanged users keep their frozen plan records (and
-    // their adopted spectral entries), changed users resample against the
-    // merged dataset, and only `update_epochs` epochs run.
+    // The delta-fit: unchanged users keep their frozen plan records, changed
+    // users resample against the merged dataset, and only `update_epochs`
+    // epochs run.
     let mut refreshed = model.clone();
     let rep = Trainer::new(TrainConfig {
         update_epochs: 2,
-        update_rule: UpdateRule::Sgd,
         ..cfg.clone()
     })
     .update(
@@ -117,16 +113,10 @@ fn main() {
     );
     assert!(!rep.no_op);
     assert!(rep.frozen_instances > rep.fresh_instances);
-    let stats = rep.report.spectral_cache;
+    assert_eq!(rep.report.epochs_run, 2);
     println!(
-        "delta-fit: {} changed users, {} frozen / {} fresh instances, \
-         {} spectral entries adopted ({} skips + {} warm starts on revisit)",
-        rep.changed_users,
-        rep.frozen_instances,
-        rep.fresh_instances,
-        rep.adopted_entries,
-        stats.skips,
-        stats.warm_starts
+        "delta-fit: {} changed users, {} frozen / {} fresh instances, {} epochs",
+        rep.changed_users, rep.frozen_instances, rep.fresh_instances, rep.report.epochs_run
     );
 
     // The serving handoff: the refreshed model rides the *same* normalized

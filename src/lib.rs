@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use lkp_core::{
         train_diversity_kernel, DiversityKernelConfig, LkpVariant, RefreshReport, TrainConfig,
-        TrainReport, TrainedState, Trainer, UpdateRule,
+        TrainReport, TrainedState, Trainer,
     };
     pub use lkp_data::{
         Dataset, DatasetDelta, DeltaPlanner, DeltaSummary, EpochPlan, EpochPlanner,
@@ -89,9 +89,7 @@ pub mod prelude {
         SyntheticConfig, SyntheticPreset, TargetSelection,
     };
     pub use lkp_dpp::{DppBatchArena, DppWorkspace};
-    pub use lkp_dpp::{
-        DppKernel, KDpp, LowRankKernel, SpectralCache, SpectralCacheStats, SpectralSnapshot,
-    };
+    pub use lkp_dpp::{DppKernel, KDpp, LowRankKernel};
     pub use lkp_models::{Gcmc, Gcn, ItemEmbeddings, MatrixFactorization, NeuMf, Recommender};
     pub use lkp_nn::AdamConfig;
     pub use lkp_runtime::WorkerPool;

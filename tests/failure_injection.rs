@@ -175,8 +175,8 @@ fn failed_eigendecomposition_invalidates_rather_than_poisons() {
     use lkp_linalg::eigen::{EigenScratch, SymmetricEigen};
     // A NaN on an off-diagonal defeats the QL convergence test: the solver
     // must report NoConvergence AND leave the decomposition invalidated —
-    // the documented "unspecified on error" state is now a hard cleared
-    // state, so a cached-spectrum consumer can never reuse it.
+    // the documented "unspecified on error" state is a hard cleared state,
+    // so no consumer can mistake the stale spectrum for the failed one.
     let good = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]);
     let mut eig = SymmetricEigen::new(&good).unwrap();
     assert!(eig.is_valid());
@@ -188,18 +188,11 @@ fn failed_eigendecomposition_invalidates_rather_than_poisons() {
         "failed compute must clear the stale spectrum"
     );
     assert!(eig.values.is_empty());
-    // Warm-start from a poisoned (invalidated) seed degrades to a cold
-    // compute instead of consuming garbage.
-    let seed = eig.clone();
-    let mut fresh = SymmetricEigen::default();
-    let used_warm = fresh.compute_warm(&good, &seed, &mut scratch).unwrap();
-    assert!(!used_warm, "invalid seed must force the cold path");
-    assert!(fresh.is_valid());
 }
 
 #[test]
-fn spectral_cache_forces_cold_recompute_after_eigen_failure() {
-    use lkp::dpp::{DppWorkspace, LowRankKernel, SpectralCache};
+fn workspace_recovers_bitwise_after_eigen_failure() {
+    use lkp::dpp::{DppWorkspace, LowRankKernel};
     let m = 6;
     let kernel = LowRankKernel::new(Matrix::from_fn(12, 8, |r, c| {
         (((r * 13 + c * 7) % 11) as f64) * 0.2 - 1.0
@@ -209,71 +202,21 @@ fn spectral_cache_forces_cold_recompute_after_eigen_failure() {
     let scores: Vec<f64> = (0..m).map(|i| (i as f64) * 0.1 - 0.3).collect();
 
     let mut ws = DppWorkspace::new();
-    let mut cache = SpectralCache::new(1e-4, 16);
-    let call = |ws: &mut DppWorkspace, cache: &mut SpectralCache, s: &[f64]| {
+    let call = |ws: &mut DppWorkspace, s: &[f64]| {
         kernel.submatrix_into(&items, &mut ws.k_sub).unwrap();
         kernel
             .gather_rows_into(&items, &mut ws.factor_rows)
             .unwrap();
-        ws.tailored_loss_grad_cached(cache, 0, &items, s, 3, false, false, 1e-6, 30.0)
+        ws.tailored_loss_grad_staged(s, 3, false, false, 1e-6, 30.0)
     };
 
-    // Healthy visit populates the cache…
-    let first = call(&mut ws, &mut cache, &scores).expect("healthy instance");
-    assert_eq!(cache.len(), 1);
-    // …a NaN-score visit fails the eigen stage (never silently succeeds)
-    // and retires the entry…
-    assert!(call(&mut ws, &mut cache, &vec![f64::NAN; m]).is_none());
-    assert_eq!(cache.len(), 0, "failed spectrum must retire the entry");
-    // …and the next healthy visit is a forced cold recompute whose result
-    // is bitwise what an uncached workspace produces.
-    let recovered = call(&mut ws, &mut cache, &scores).expect("recovered instance");
+    let first = call(&mut ws, &scores).expect("healthy instance");
+    // A NaN-score visit fails the eigen stage (never silently succeeds)…
+    assert!(call(&mut ws, &vec![f64::NAN; m]).is_none());
+    // …and the next healthy visit on the same workspace is bitwise what it
+    // was before the failure.
+    let recovered = call(&mut ws, &scores).expect("recovered instance");
     assert_eq!(recovered.loss.to_bits(), first.loss.to_bits());
-    let stats = cache.stats();
-    assert_eq!(stats.cold, 3, "all three visits classified cold");
-    assert_eq!(stats.skips + stats.warm_starts, 0);
-}
-
-#[test]
-fn training_with_spectral_cache_survives_score_explosions() {
-    // The ExtremeModel scenario again, but with the spectral cache engaged:
-    // degenerate instances must skip (never NaN) and the run must finish
-    // with finite parameters even when cached entries get retired mid-epoch.
-    let data = dataset();
-    let kernel = train_diversity_kernel(
-        &data,
-        &DiversityKernelConfig {
-            epochs: 2,
-            pairs_per_epoch: 32,
-            dim: 6,
-            ..Default::default()
-        },
-    );
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let inner = MatrixFactorization::new(
-        data.n_users(),
-        data.n_items(),
-        8,
-        AdamConfig::default(),
-        &mut rng,
-    );
-    let mut model = ExtremeModel { inner, scale: 1e6 };
-    let mut objective = LkpObjective::new(LkpKind::NegativeAware, kernel);
-    let report = Trainer::new(TrainConfig {
-        epochs: 2,
-        eval_every: 0,
-        patience: 0,
-        k: 3,
-        n: 3,
-        spectral_tol: 1e-6,
-        ..Default::default()
-    })
-    .fit(&mut model, &mut objective, &data);
-    for stat in &report.history {
-        assert!(stat.mean_loss.is_finite());
-    }
-    let scores = model.score_items(0, &[0, 1, 2]);
-    assert!(scores.iter().all(|s| s.is_finite()));
 }
 
 #[test]
