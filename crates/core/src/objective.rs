@@ -197,23 +197,37 @@ impl LkpObjective {
         self.kind
     }
 
-    /// Shared prologue of both compute paths: resets `out`, scores the
-    /// ground set, and stages the kernel inputs in the workspace.
+    /// Gathers the ground set's factor rows `V_T` into the workspace when
+    /// the dual path will read them, i.e. when the kernel rank `d` is below
+    /// the ground-set size `m`; returns whether it did. Routing depends on
+    /// `d` vs `m` alone, so rows left in the workspace by an earlier
+    /// instance are never read.
+    fn stage_factor(&self, items: &[usize], ws: &mut DppWorkspace) -> bool {
+        let use_factor = self.kernel.dim() < items.len();
+        if use_factor {
+            self.kernel
+                .gather_rows_into(items, &mut ws.factor_rows)
+                .expect("ground items in kernel range");
+        }
+        use_factor
+    }
+
+    /// Shared prologue of the per-instance path: resets `out`, scores the
+    /// ground set, and stages the kernel inputs in the workspace. Returns
+    /// whether the dual path's factor rows were staged.
     fn stage<M: Recommender>(
         &self,
         model: &M,
         instance: InstanceRef<'_>,
         ws: &mut DppWorkspace,
         out: &mut InstanceGrad,
-    ) {
+    ) -> bool {
         out.reset_for(instance);
         model.score_items_into(instance.user, &out.items, &mut out.scores);
         self.kernel
             .submatrix_into(&out.items, &mut ws.k_sub)
             .expect("ground items in kernel range");
-        self.kernel
-            .gather_rows_into(&out.items, &mut ws.factor_rows)
-            .expect("ground items in kernel range");
+        self.stage_factor(&out.items, ws)
     }
 
     /// Shared epilogue: copies the workspace result into `out`, or marks the
@@ -237,12 +251,12 @@ impl<M: Recommender> Objective<M> for LkpObjective {
         ws: &mut DppWorkspace,
         out: &mut InstanceGrad,
     ) {
-        self.stage(model, instance, ws, out);
+        let use_factor = self.stage(model, instance, ws, out);
         let result = ws.tailored_loss_grad_staged(
             &out.scores,
             instance.k(),
             self.kind == LkpKind::NegativeAware,
-            true,
+            use_factor,
             KERNEL_JITTER,
             SCORE_CLAMP,
         );
@@ -271,9 +285,7 @@ impl<M: Recommender> Objective<M> for LkpObjective {
             let instance = block.get(i);
             out.reset_for(instance);
             model.score_items_into(instance.user, &out.items, &mut out.scores);
-            self.kernel
-                .gather_rows_into(&out.items, &mut ws.factor_rows)
-                .expect("ground items in kernel range");
+            let use_factor = self.stage_factor(&out.items, ws);
             let slot = arena.slot_mut(i);
             self.kernel
                 .submatrix_into(&out.items, &mut slot.k_sub)
@@ -283,7 +295,7 @@ impl<M: Recommender> Objective<M> for LkpObjective {
                 &out.scores,
                 instance.k(),
                 negative_aware,
-                true,
+                use_factor,
                 KERNEL_JITTER,
                 SCORE_CLAMP,
             );
@@ -678,6 +690,34 @@ mod tests {
             .tailored_loss_grad_staged(&out.scores, 3, false, true, KERNEL_JITTER, SCORE_CLAMP)
             .unwrap();
         assert_eq!(res.path, lkp_dpp::SpectrumPath::Dual);
+    }
+
+    #[test]
+    fn dense_route_skips_the_gather_and_ignores_stale_factor_rows() {
+        // A thin kernel (d = 4 < m = 6) leaves its 6 × 4 factor rows in the
+        // workspace; a full-rank one (d = 8 ≥ m) on the same workspace must
+        // neither gather nor read them, and match a fresh workspace bitwise.
+        let thin = LkpObjective::new(LkpKind::PositiveOnly, kernel(10, 4));
+        let full = LkpObjective::new(LkpKind::PositiveOnly, kernel(10, 8));
+        let model = mf(2, 10);
+        let inst = instance();
+        let mut ws = DppWorkspace::new();
+        let mut out = InstanceGrad::default();
+        thin.compute_into(&model, inst.as_ref(), &mut ws, &mut out);
+        let stale = ws.factor_rows.clone();
+        assert_eq!(stale.shape(), (6, 4));
+        full.compute_into(&model, inst.as_ref(), &mut ws, &mut out);
+        assert_eq!(ws.factor_rows.as_slice(), stale.as_slice(), "no gather");
+
+        let mut fresh_out = InstanceGrad::default();
+        full.compute_into(
+            &model,
+            inst.as_ref(),
+            &mut DppWorkspace::new(),
+            &mut fresh_out,
+        );
+        assert_eq!(out.loss.to_bits(), fresh_out.loss.to_bits());
+        assert_eq!(out.dscores, fresh_out.dscores);
     }
 
     #[test]

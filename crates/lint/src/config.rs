@@ -47,6 +47,8 @@ impl LintConfig {
                 "crates/linalg/src/eigen.rs",
                 "crates/core/src/trainer/update.rs",
                 "crates/data/src/delta.rs",
+                "crates/nn/src/embedding.rs",
+                "crates/nn/src/optim.rs",
             ]),
             lock_scope_modules: strings(&["crates/", "src/"]),
             deterministic_modules: strings(&[
@@ -126,5 +128,10 @@ mod tests {
         assert!(c.is_deterministic_core("crates/data/src/delta.rs"));
         assert!(!c.is_hot_path("crates/core/src/trainer/fit.rs"));
         assert!(!c.is_deterministic_core("crates/core/src/trainer/mod.rs"));
+        // The optimizer: gradient accumulation and Adam steps run per
+        // instance and per batch.
+        assert!(c.is_hot_path("crates/nn/src/embedding.rs"));
+        assert!(c.is_hot_path("crates/nn/src/optim.rs"));
+        assert!(!c.is_hot_path("crates/nn/src/dense.rs"));
     }
 }

@@ -55,6 +55,8 @@ impl AdamState {
         AdamState {
             m: Matrix::zeros(rows, cols),
             v: Matrix::zeros(rows, cols),
+            // lint:allow(hotpath-alloc): constructor — the per-row clocks are
+            // sized once here and only updated in place by the steps.
             t: vec![0; rows],
             config,
         }
@@ -77,7 +79,7 @@ impl AdamState {
         self.t[0] += 1;
         let t = self.t[0];
         for r in 0..param.rows() {
-            self.step_row_with_t(param, r, grad.row(r).to_vec().as_slice(), t);
+            self.step_row_with_t(param, r, grad.row(r), t);
         }
         // Keep per-row counters coherent for mixed use.
         for tr in self.t.iter_mut() {
@@ -97,23 +99,22 @@ impl AdamState {
         let c = &self.config;
         let bc1 = 1.0 - c.beta1.powi(t as i32);
         let bc2 = 1.0 - c.beta2.powi(t as i32);
-        let cols = param.cols();
-        debug_assert_eq!(grad_row.len(), cols);
-        for j in 0..cols {
-            let mut g = grad_row[j];
+        let p_row = param.row_mut(row);
+        assert_eq!(grad_row.len(), p_row.len(), "gradient row length");
+        let moments = self.m.row_mut(row).iter_mut().zip(self.v.row_mut(row));
+        for ((p, (m, v)), &g) in p_row.iter_mut().zip(moments).zip(grad_row) {
+            let mut g = g;
             if c.grad_clip > 0.0 {
                 g = g.clamp(-c.grad_clip, c.grad_clip);
             }
             if c.weight_decay > 0.0 {
-                g += c.weight_decay * param[(row, j)];
+                g += c.weight_decay * *p;
             }
-            let m = c.beta1 * self.m[(row, j)] + (1.0 - c.beta1) * g;
-            let v = c.beta2 * self.v[(row, j)] + (1.0 - c.beta2) * g * g;
-            self.m[(row, j)] = m;
-            self.v[(row, j)] = v;
-            let m_hat = m / bc1;
-            let v_hat = v / bc2;
-            param[(row, j)] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
         }
     }
 }
