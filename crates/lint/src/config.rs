@@ -111,7 +111,7 @@ mod tests {
     fn repo_default_scopes() {
         let c = LintConfig::repo_default();
         assert!(c.is_hot_path("crates/dpp/src/workspace.rs"));
-        assert!(c.is_hot_path("crates/serve/src/cache/shared.rs"));
+        assert!(c.is_hot_path("crates/serve/src/cache/per_worker.rs"));
         assert!(c.is_hot_path("crates/serve/src/cache.rs"));
         assert!(!c.is_hot_path("crates/serve/src/frontend/core.rs"));
         assert!(c.is_deterministic_core("crates/linalg/src/eigen.rs"));

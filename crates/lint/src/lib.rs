@@ -3,7 +3,7 @@
 //!
 //! Every layer of this workspace rests on conventions that are enforced
 //! nowhere in the type system: the training/serving hot paths must stay
-//! allocation-free, kernel assembly must never run under a shard lock, the
+//! allocation-free, kernel assembly must never run under a lock, the
 //! bitwise-equivalence gates assume no wall-clock reads or hash-order
 //! iteration inside the deterministic core, and every `unsafe` block needs a
 //! written justification. This crate turns those conventions into

@@ -1,7 +1,6 @@
 //! L2 `lock-scope`: expensive work must never run while a `.lock()` guard is
-//! live — the exact bug class PR 5's `SharedKernelCache` was built to avoid
-//! (kernel assembly under a shard lock serializes every concurrent miss on
-//! that shard).
+//! live (kernel assembly under a shared lock serializes every concurrent
+//! caller behind it).
 //!
 //! Scope tracking is lexical, tuned to this repo's rustfmt-normal idioms:
 //!
@@ -138,7 +137,7 @@ fn guard_scopes(view: &FileView<'_>) -> Vec<GuardScope> {
 /// Whether the statement tail after `.lock()` keeps the guard alive past
 /// the statement: only unwrap/expect adapters and `?` may intervene before
 /// the terminating `;`. (String contents are already blanked, so
-/// `.expect("shard lock")` appears here as `.expect("")`.)
+/// `.expect("stats lock")` appears here as `.expect("")`.)
 fn guard_reaches_statement_end(tail: &str) -> bool {
     let mut rest = tail.trim();
     while let Some(next) = rest

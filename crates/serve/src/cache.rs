@@ -1,17 +1,11 @@
-//! Bounded caches of per-candidate-set kernel blocks, in two backends.
+//! The bounded per-worker cache of per-candidate-set kernel blocks.
 //!
 //! The per-request kernel work depends only on the candidate set — `K_C =
 //! V_C·V_Cᵀ` for the dense path, the raw factor rows `V_C` for the dual path
 //! — so for the common serving shape (each user's candidate pool is stable
-//! across requests) it is worth paying once and amortizing. Two backends
-//! share the same entry layout and eviction policy:
-//!
-//! * [`per_worker::KernelCache`] — one private cache per pool worker, no
-//!   locks (the PR-2 design, still the default). A user's block is rebuilt
-//!   once *per worker* that serves them.
-//! * [`shared::SharedKernelCache`] — one cache for the whole pool, sharded
-//!   `N` ways by user hash with one lock per shard. A user's block is built
-//!   once *per process*, whichever worker gets there first.
+//! across requests) it is worth paying once and amortizing. Every pool
+//! worker owns a private [`per_worker::KernelCache`] (no locks); a user's
+//! block is built once *per worker* that serves them.
 //!
 //! An entry holds one of two [`EntryForm`]s: a `|C|×|C|` dense submatrix
 //! (`O(|C|²)` bytes) or a `|C|×d` factor block (`O(|C|·d)` bytes). Because
@@ -20,17 +14,15 @@
 //! resident set oldest-first until it fits the budget in bytes, so one dense
 //! entry no longer costs the same as a factor entry ~`|C|/d` times smaller.
 //!
-//! Both backends store bit-exact copies of what a miss recomputes
+//! Entries are bit-exact copies of what a miss recomputes
 //! ([`lkp_dpp::LowRankKernel::submatrix_into`] and
 //! [`lkp_dpp::LowRankKernel::gather_rows_into`] are deterministic), so cache
-//! hits — from either backend, at any pool width — can never change a
-//! served list.
+//! hits — on any worker, at any pool width — can never change a served
+//! list.
 
 pub(crate) mod per_worker;
-pub(crate) mod shared;
 
 pub(crate) use per_worker::KernelCache;
-pub(crate) use shared::SharedKernelCache;
 
 use lkp_dpp::LowRankKernel;
 use lkp_linalg::Matrix;
@@ -107,22 +99,6 @@ impl CacheEntry {
         .expect("candidates validated by caller");
         self.last_used = tick;
     }
-
-    /// Fills the entry with a copy of an externally built block (the shared
-    /// backend assembles outside the shard lock, then publishes).
-    pub(crate) fn fill_from(
-        &mut self,
-        candidates: &[usize],
-        block: &Matrix,
-        form: EntryForm,
-        tick: u64,
-    ) {
-        self.candidates.clear();
-        self.candidates.extend_from_slice(candidates);
-        self.form = form;
-        self.block.copy_from(block);
-        self.last_used = tick;
-    }
 }
 
 /// Evicts least-recently-used entries until the resident set fits `bound`
@@ -159,11 +135,9 @@ pub(crate) fn evict_lru(
     scratch.truncate(removed);
 }
 
-/// Counters of one cache shard: a worker's private cache in
-/// [`crate::CacheMode::PerWorker`] mode, one hash shard of the shared cache
-/// in [`crate::CacheMode::Sharded`] mode.
+/// Counters of one pool worker's kernel cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
+pub struct WorkerCacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that paid the kernel-block build.
@@ -182,8 +156,8 @@ pub struct ShardStats {
     pub resident_bytes: usize,
 }
 
-impl ShardStats {
-    pub(crate) fn absorb(&mut self, other: &ShardStats) {
+impl WorkerCacheStats {
+    pub(crate) fn absorb(&mut self, other: &WorkerCacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.bypasses += other.bypasses;
@@ -193,31 +167,30 @@ impl ShardStats {
     }
 }
 
-/// Kernel-cache counters, per shard plus aggregate, as reported by
+/// Kernel-cache counters, per worker plus aggregate, as reported by
 /// [`crate::Ranker::cache_stats_detailed`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// One row per shard — per pool worker in `PerWorker` mode (index =
-    /// worker index; idle workers report a zero row without being
-    /// materialized), per hash shard in `Sharded` mode.
-    pub per_shard: Vec<ShardStats>,
-    /// Sum over `per_shard`.
-    pub aggregate: ShardStats,
+    /// One row per pool worker (index = worker index; idle workers report a
+    /// zero row without being materialized).
+    pub per_worker: Vec<WorkerCacheStats>,
+    /// Sum over `per_worker`.
+    pub aggregate: WorkerCacheStats,
 }
 
 impl CacheStats {
-    pub(crate) fn from_shards(per_shard: Vec<ShardStats>) -> Self {
-        let mut aggregate = ShardStats::default();
-        for s in &per_shard {
+    pub(crate) fn from_workers(per_worker: Vec<WorkerCacheStats>) -> Self {
+        let mut aggregate = WorkerCacheStats::default();
+        for s in &per_worker {
             aggregate.absorb(s);
         }
         CacheStats {
-            per_shard,
+            per_worker,
             aggregate,
         }
     }
 
-    /// `hits / (hits + misses)` over all shards (0 when no lookups ran).
+    /// `hits / (hits + misses)` over all workers (0 when no lookups ran).
     pub fn hit_rate(&self) -> f64 {
         let looked = self.aggregate.hits + self.aggregate.misses;
         if looked == 0 {

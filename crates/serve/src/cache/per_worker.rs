@@ -1,13 +1,12 @@
-//! The per-worker (lock-free) kernel-cache backend.
+//! The per-worker (lock-free) kernel cache.
 
-use super::{entry_bytes, evict_lru, CacheEntry, EntryForm, ShardStats};
+use super::{entry_bytes, evict_lru, CacheEntry, EntryForm, WorkerCacheStats};
 use lkp_dpp::LowRankKernel;
 use lkp_linalg::Matrix;
 use std::collections::HashMap;
 
 /// A bounded per-user cache of candidate-set kernel blocks (dense `K_C` or
-/// factor `V_C`, see [`EntryForm`]), owned by one pool worker (no locks; see
-/// the module docs for the shared-backend alternative).
+/// factor `V_C`, see [`EntryForm`]), owned by one pool worker (no locks).
 ///
 /// Eviction is least-recently-used over a **byte** budget, and every call
 /// shrinks the cache **down to** the current `budget` — so lowering the
@@ -165,8 +164,8 @@ impl KernelCache {
     /// passthroughs (`budget == 0`) are counted as `bypasses`, not
     /// misses, so a hit rate derived from the row reflects only lookups the
     /// cache was actually allowed to serve.
-    pub(crate) fn shard_stats(&self) -> ShardStats {
-        ShardStats {
+    pub(crate) fn stats(&self) -> WorkerCacheStats {
+        WorkerCacheStats {
             hits: self.hits,
             misses: self.misses,
             bypasses: self.bypasses,
@@ -353,7 +352,7 @@ mod tests {
         assert!(!hit1 && !hit2);
         assert_eq!(cache.len(), 0);
         // Deliberate bypasses must not read as misses in hit-rate stats.
-        let stats = cache.shard_stats();
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
         assert_eq!(stats.bypasses, 2);
         assert_eq!(stats.resident_bytes, 0);
@@ -461,14 +460,14 @@ mod tests {
         // different pool.
         assert!(cache.prewarm(3, &[1, 4], &kern, budget, EntryForm::Dense));
         assert!(!cache.prewarm(3, &[2, 6], &kern, budget, EntryForm::Dense));
-        let stats = cache.shard_stats();
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
         assert_eq!(stats.prewarmed, 1);
         // Traffic on the prewarmed pair is a pure hit.
         let (m, hit) = cache.get_or_build(3, &[1, 4], &kern, budget, EntryForm::Dense);
         assert!(hit);
         assert_eq!(m.as_slice(), kern.submatrix(&[1, 4]).unwrap().as_slice());
-        let stats = cache.shard_stats();
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
         // Disabled cache ignores prewarm.
         assert!(!cache.prewarm(9, &[2], &kern, 0, EntryForm::Dense));

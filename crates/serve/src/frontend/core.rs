@@ -345,7 +345,9 @@ impl<M: Recommender + Sync> ServeFrontend<M> {
 
     /// Pre-warms the ranker's kernel cache with popular pairs (see
     /// [`Ranker::prewarm`]); their first served request then skips the
-    /// `O(|C|²·d)` assembly entirely. Returns the number of assemblies.
+    /// kernel-block build entirely. Returns the number of pairs warm on
+    /// *every* pool worker when the call returns, counting pairs that were
+    /// already resident (compare it against `pairs.len()`).
     pub fn prewarm(&mut self, pairs: &[(usize, Vec<usize>)]) -> usize {
         self.ranker.prewarm(pairs)
     }

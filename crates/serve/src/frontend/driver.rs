@@ -22,9 +22,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Floor for the pump thread's idle sleep so a zero `max_wait` cannot spin
-/// a core; submissions still wake the thread immediately.
-const MIN_IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// Floor for the pump thread's sleep until the next deadline cut, so a zero
+/// `max_wait` cannot spin a core; submissions still wake the thread
+/// immediately.
+const MIN_CUT_SLEEP: Duration = Duration::from_micros(200);
+
+/// The pump thread's sleep when nothing is queued. Submissions wake it at
+/// once, so this only bounds how late a TTL sweep of unclaimed responses
+/// ([`crate::FrontendConfig::response_ttl`]) runs on a quiet queue.
+const IDLE_SLEEP: Duration = Duration::from_millis(5);
 
 struct DriverShared<M> {
     frontend: Mutex<ServeFrontend<M>>,
@@ -243,13 +249,12 @@ fn pump_loop<M: Recommender + Send + Sync + 'static>(shared: &DriverShared<M>) {
         if guard.pump() > 0 {
             shared.served.notify_all();
         }
-        // Sleep until the next deadline (ZERO sleeps are re-checked
-        // immediately by the loop), or idle at max_wait granularity so TTL
-        // sweeps keep running under a quiet queue.
+        // Sleep until the next deadline cut, or for `IDLE_SLEEP` with
+        // nothing queued so TTL sweeps keep running.
         let sleep = guard
             .time_to_next_cut()
-            .unwrap_or(MIN_IDLE_SLEEP.max(Duration::from_millis(5)))
-            .max(MIN_IDLE_SLEEP);
+            .unwrap_or(IDLE_SLEEP)
+            .max(MIN_CUT_SLEEP);
         let (g, _) = shared
             .wake
             .wait_timeout(guard, sleep)

@@ -46,8 +46,8 @@ impl<M: Recommender + Sync> ServeFrontend<M> {
     /// Installs a staged artifact generation between cuts. Pending
     /// requests stay queued and serve on the new artifact at their normal
     /// cut; completed responses keep their old-generation stamps. The
-    /// commit is cheap — pointer installs plus, in per-worker cache mode,
-    /// cloning the staged warm template into each worker — because the
+    /// commit is cheap — pointer installs plus cloning the staged warm
+    /// template into each worker's cache — because the
     /// expensive prewarm already happened in [`crate::StagedSwap::prepare`].
     pub fn commit_swap(&mut self, staged: StagedSwap<M>) -> SwapReport {
         let start = Instant::now();

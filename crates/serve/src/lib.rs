@@ -20,14 +20,12 @@
 //!    on it — `O(|C|·N·(d + N))` total, never materializing `L_C`, with an
 //!    automatic dense fallback on numerical breakdown.
 //! 3. The dominant kernel work is amortized by a **bounded per-user kernel
-//!    cache** in one of two backends ([`ServeConfig::cache_mode`]): private
-//!    per-worker caches (default, lock-free) or one cache for the whole
-//!    pool, sharded by user hash — the latter removes both the `threads×`
-//!    memory multiplier and the per-worker cold-start tax, and can be
-//!    pre-warmed with popular pairs via [`Ranker::prewarm`]. Capacity is a
-//!    **byte budget** ([`ServeConfig::kernel_cache_bytes`]): dense entries
-//!    cost `O(|C|²)` bytes, dual factor entries `O(|C|·d)` — so the dual
-//!    form also multiplies effective cache capacity by ~`|C|/d`.
+//!    cache** private to each pool worker (lock-free; a user's block is
+//!    built once per worker that serves them), which [`Ranker::prewarm`]
+//!    can fill with popular pairs ahead of traffic. Capacity is a **byte
+//!    budget** per worker ([`ServeConfig::kernel_cache_bytes`]): dense
+//!    entries cost `O(|C|²)` bytes, dual factor entries `O(|C|·d)` — so the
+//!    dual form also multiplies effective cache capacity by ~`|C|/d`.
 //! 4. [`ServeFrontend`] accepts individually submitted requests into a
 //!    bounded queue and cuts micro-batches by size/deadline
 //!    ([`FrontendConfig`]), so callers that see one request at a time still
@@ -41,13 +39,13 @@
 //!    model between cuts with the new generation's cache prewarmed
 //!    ([`StagedSwap`]).
 //!
-//! Serving results are **identical at any pool width, in either cache
-//! mode, and through the frontend**: requests are independent, both cache
-//! backends store bit-exact copies of what a cache miss would recompute,
-//! and greedy MAP breaks ties by candidate order. Across kernel *forms* the
-//! guarantee is item-for-item list equality on well-conditioned kernels
-//! (the dual path reassociates the same arithmetic, so `log_det` agrees to
-//! rounding, not bitwise).
+//! Serving results are **identical at any pool width, cold or warm, and
+//! through the frontend**: requests are independent, the cache stores
+//! bit-exact copies of what a cache miss would recompute, and greedy MAP
+//! breaks ties by candidate order. Across kernel *forms* the guarantee is
+//! item-for-item list equality on well-conditioned kernels (the dual path
+//! reassociates the same arithmetic, so `log_det` agrees to rounding, not
+//! bitwise).
 
 mod artifact;
 mod cache;
@@ -55,7 +53,7 @@ mod frontend;
 mod ranker;
 
 pub use artifact::RankingArtifact;
-pub use cache::{CacheStats, ShardStats};
+pub use cache::{CacheStats, WorkerCacheStats};
 pub use frontend::{
     Clock, DriverClient, FrontendConfig, FrontendDriver, FrontendStats, LatencyHistogram,
     ManualClock, MonotonicClock, ServeFrontend, SubmitError, SwapRecord, SwapReport, Ticket,
@@ -63,35 +61,14 @@ pub use frontend::{
 };
 pub use ranker::{RankOutcome, RankRequest, RankResponse, Ranker, ServeWorkspace, StagedSwap};
 
-/// Which backend amortizes the per-candidate-set kernel work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheMode {
-    /// Every pool worker owns a private cache (lock-free; the default).
-    /// A user's kernel block is rebuilt once per worker that serves them,
-    /// and each worker's cache is bounded by
-    /// [`ServeConfig::kernel_cache_bytes`] on its own.
-    #[default]
-    PerWorker,
-    /// One cache for the whole pool, sharded `shards` ways by user hash
-    /// with one lock per shard. [`ServeConfig::kernel_cache_bytes`] is
-    /// the *total* byte budget (each shard holds at most
-    /// `ceil(bytes / shards)`); a user's kernel block is built once per
-    /// process and hit from any worker. `shards` is clamped to ≥ 1; size it
-    /// at or above the pool width so concurrent lookups rarely contend on
-    /// one lock.
-    Sharded {
-        /// Number of hash shards (= independent locks).
-        shards: usize,
-    },
-}
-
 /// Which representation of the tailored kernel the ranker serves from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelForm {
     /// Materialize the dense `|C| × |C|` kernel `L_C` and run the dense
     /// incremental-Cholesky greedy MAP (the pre-dual behavior; the
-    /// default). Wins when `|C|` is small or `d` approaches `|C|` — the
-    /// dense assembly is then cheap and cache hits skip it entirely.
+    /// default). Cache hits skip the `O(|C|²·d)` assembly, but the dual form
+    /// still serves faster at every measured pool size, down to `|C| = 100`
+    /// (see `docs/PERFORMANCE.md`).
     #[default]
     Dense,
     /// Keep the kernel in factored form `B = Diag(q)·V_C` (`|C| × d`) and
@@ -103,13 +80,7 @@ pub enum KernelForm {
     /// the dual recursion (guarded by [`ServeConfig::dual_guard`]) falls
     /// back to the dense path for that request, bit-identical to
     /// [`KernelForm::Dense`] serving.
-    LowRankDual {
-        /// Candidate sets smaller than this stay on the dense path, where
-        /// the `O(|C|²·d)` assembly is too small to beat and a cached dense
-        /// block skips even that. Applied to the *effective* reranked set
-        /// (the head size for degraded requests). 0 sends everything dual.
-        min_candidates: usize,
-    },
+    LowRankDual,
 }
 
 /// Serving-layer configuration.
@@ -130,15 +101,10 @@ pub struct ServeConfig {
     /// dense entry (~81 KB at `|C| = 100`, ~20 MB at `|C| = 1600`),
     /// `8·(|C| + |C|·d)` for a dual factor entry (~26 KB at `|C| = 100`,
     /// `d = 32`) — so mixed workloads fit ~`|C|/d` more dual entries in the
-    /// same budget. In [`CacheMode::PerWorker`] every pool worker owns its
-    /// own budget of this size (total resident ≈ `threads ×` this); in
-    /// [`CacheMode::Sharded`] this is the total budget across shards. The
-    /// default, 20 MiB, holds ~256 dense entries at `|C| = 100` per
-    /// worker — the pre-byte-budget default capacity.
+    /// same budget. Every pool worker owns its own budget of this size
+    /// (total resident ≈ `threads ×` this). The default, 20 MiB, holds ~256
+    /// dense entries at `|C| = 100` per worker.
     pub kernel_cache_bytes: usize,
-    /// Kernel-cache backend (default [`CacheMode::PerWorker`], the exact
-    /// pre-sharding behavior).
-    pub cache_mode: CacheMode,
     /// Kernel representation served from (default [`KernelForm::Dense`],
     /// the exact pre-dual behavior).
     pub kernel_form: KernelForm,
@@ -157,7 +123,6 @@ impl Default for ServeConfig {
             jitter: lkp_core::KERNEL_JITTER,
             score_clamp: lkp_core::SCORE_CLAMP,
             kernel_cache_bytes: 20 * 1024 * 1024,
-            cache_mode: CacheMode::PerWorker,
             kernel_form: KernelForm::Dense,
             dual_guard: lkp_dpp::DUAL_BREAKDOWN_GUARD,
         }

@@ -1,7 +1,7 @@
 //! The batched ranker: requests in, diversified top-N lists out.
 
-use crate::cache::{CacheStats, EntryForm, KernelCache, ShardStats, SharedKernelCache};
-use crate::{CacheMode, KernelForm, RankingArtifact, ServeConfig};
+use crate::cache::{CacheStats, EntryForm, KernelCache, WorkerCacheStats};
+use crate::{KernelForm, RankingArtifact, ServeConfig};
 use lkp_dpp::{greedy_map_dual_with, greedy_map_with, DualMapWorkspace, MapWorkspace};
 use lkp_linalg::Matrix;
 use lkp_models::Recommender;
@@ -99,8 +99,8 @@ pub struct RankResponse {
     pub items: Vec<usize>,
     /// `log det(L_S)` of the selected set under the tailored kernel.
     pub log_det: f64,
-    /// Whether the diversity submatrix came from the kernel cache
-    /// (per-worker or shared, per [`ServeConfig::cache_mode`]).
+    /// Whether the kernel block (`K_C` or `V_C`) came from the serving
+    /// worker's kernel cache.
     pub cache_hit: bool,
     /// What happened to the request (served / invalid / failed / panicked /
     /// expired).
@@ -125,11 +125,8 @@ pub struct ServeWorkspace {
     l: Matrix,
     map: MapWorkspace,
     cache: KernelCache,
-    /// Staging copy of a shared-cache block (held while the shard lock
-    /// is already released).
-    shared_sub: Matrix,
-    /// Factor rows `V_C` for the dual path: the shared-cache staging copy,
-    /// the degraded-head gather target, and the dense-fallback re-gather.
+    /// Factor rows `V_C` for the dual path: the degraded-head gather target
+    /// and the dense-fallback re-gather.
     vc: Matrix,
     /// The dual factor `B = Diag(q)·V_C` fed to the dual MAP.
     b: Matrix,
@@ -144,8 +141,8 @@ pub struct ServeWorkspace {
     dup: Vec<bool>,
     dedup: Vec<usize>,
     /// Degraded-mode scratch: the quality-sorted head selection and its
-    /// directly-assembled kernel (degraded requests bypass both cache
-    /// backends so a transient overload cannot churn the warm set).
+    /// directly-assembled kernel (degraded requests bypass the cache so a
+    /// transient overload cannot churn the warm set).
     head_order: Vec<u32>,
     head_cands: Vec<usize>,
     head_q: Vec<f64>,
@@ -161,10 +158,6 @@ pub struct Ranker<M> {
     artifact: RankingArtifact<M>,
     pool: WorkerPool,
     config: ServeConfig,
-    /// The cross-worker cache when [`ServeConfig::cache_mode`] is
-    /// [`CacheMode::Sharded`] (and caching is enabled); `None` keeps the
-    /// per-worker backend.
-    shared: Option<SharedKernelCache>,
     /// Artifact generation, stamped on every response and bumped by
     /// [`Ranker::commit_swap`].
     generation: u64,
@@ -177,70 +170,31 @@ pub struct Ranker<M> {
 /// [`crate::ServeFrontend::commit_swap`].
 pub struct StagedSwap<M> {
     artifact: RankingArtifact<M>,
-    shared: Option<SharedKernelCache>,
-    per_worker: Option<KernelCache>,
+    /// One template cache, assembled once; commit clones it into every
+    /// worker (the same warm set everywhere, exactly like a plain prewarm).
+    cache: KernelCache,
     warmed: usize,
 }
 
 impl<M: Recommender> StagedSwap<M> {
     /// Stages `artifact` with `plan`'s `(user, candidate-set)` pairs
-    /// prewarmed into a fresh cache of the backend `config` selects. The
-    /// config must be the serving ranker's own (capacity and cache mode
-    /// decide what is staged); plan pairs follow the same validation,
-    /// dedup, and monotone-fill rules as [`Ranker::prewarm`].
+    /// prewarmed into a fresh template cache. The config must be the
+    /// serving ranker's own (capacity and kernel form decide what is
+    /// staged); plan pairs follow the same validation, dedup, and
+    /// monotone-fill rules as [`Ranker::prewarm`].
     pub fn prepare(
         config: &ServeConfig,
         artifact: RankingArtifact<M>,
         plan: &[(usize, Vec<usize>)],
     ) -> Self {
-        let budget = config.kernel_cache_bytes;
-        // lint:allow(hotpath-alloc): staging runs off the serving path — the
-        // live ranker keeps serving until the atomic swap.
-        let (mut order, mut dup, mut dedup) = (Vec::new(), Vec::new(), Vec::new());
-        let mut warmed = 0;
-        let mut shared = None;
-        let mut per_worker = None;
-        if budget > 0 {
-            match config.cache_mode {
-                CacheMode::Sharded { shards } => {
-                    let cache = SharedKernelCache::new(shards);
-                    for (user, candidates) in plan {
-                        if !prewarmable(&artifact, *user, candidates) {
-                            continue;
-                        }
-                        let key =
-                            dedup_first_occurrence(candidates, &mut order, &mut dup, &mut dedup);
-                        let form = entry_form(config, key.len());
-                        if cache.prewarm(*user, key, artifact.kernel(), budget, form) {
-                            warmed += 1;
-                        }
-                    }
-                    shared = Some(cache);
-                }
-                CacheMode::PerWorker => {
-                    // One template cache, assembled once; commit clones it
-                    // into every worker (same warm set everywhere, exactly
-                    // like a plain per-worker prewarm).
-                    let mut cache = KernelCache::default();
-                    for (user, candidates) in plan {
-                        if !prewarmable(&artifact, *user, candidates) {
-                            continue;
-                        }
-                        let key =
-                            dedup_first_occurrence(candidates, &mut order, &mut dup, &mut dedup);
-                        let form = entry_form(config, key.len());
-                        if cache.prewarm(*user, key, artifact.kernel(), budget, form) {
-                            warmed += 1;
-                        }
-                    }
-                    per_worker = Some(cache);
-                }
-            }
-        }
+        // Staging runs off the serving path — the live ranker keeps serving
+        // until the atomic swap — so a throwaway workspace holds the
+        // template cache and the dedup scratch.
+        let mut ws = ServeWorkspace::default();
+        let warmed = prewarm_into(&mut ws, config, &artifact, plan);
         StagedSwap {
             artifact,
-            shared,
-            per_worker,
+            cache: ws.cache,
             warmed,
         }
     }
@@ -260,17 +214,10 @@ impl<M: Recommender + Sync> Ranker<M> {
     /// Builds a ranker (spawning the pool) from a frozen artifact.
     pub fn new(artifact: RankingArtifact<M>, config: ServeConfig) -> Self {
         let pool = WorkerPool::new(config.threads);
-        let shared = match config.cache_mode {
-            CacheMode::Sharded { shards } if config.kernel_cache_bytes > 0 => {
-                Some(SharedKernelCache::new(shards))
-            }
-            _ => None,
-        };
         Ranker {
             artifact,
             pool,
             config,
-            shared,
             generation: 1,
         }
     }
@@ -318,13 +265,12 @@ impl<M: Recommender + Sync> Ranker<M> {
         out.resize_with(requests.len(), RankResponse::default);
         let artifact = &self.artifact;
         let config = &self.config;
-        let shared = self.shared.as_ref();
         let generation = self.generation;
         self.pool
             .zip_chunks(requests, out, |_, reqs, resps, state| {
                 let ws = state.get_or_default::<ServeWorkspace>();
                 for (req, resp) in reqs.iter().zip(resps.iter_mut()) {
-                    serve_request(artifact, config, shared, ws, req, resp, generation);
+                    serve_request(artifact, config, ws, req, resp, generation);
                 }
             });
     }
@@ -334,13 +280,11 @@ impl<M: Recommender + Sync> Ranker<M> {
     /// matches [`Ranker::rank_batch_into`].
     pub fn rank_one(&mut self, request: &RankRequest) -> RankResponse {
         let mut resp = RankResponse::default();
-        let shared = self.shared.as_ref();
         let generation = self.generation;
         let ws = self.pool.caller_state().get_or_default::<ServeWorkspace>();
         serve_request(
             &self.artifact,
             &self.config,
-            shared,
             ws,
             request,
             &mut resp,
@@ -351,8 +295,8 @@ impl<M: Recommender + Sync> Ranker<M> {
 
     /// Stages a replacement artifact for a hot swap: the new generation's
     /// cache is fully assembled here, off the serving path, so
-    /// [`Ranker::commit_swap`] only has to install pointers (and, in
-    /// per-worker mode, clone the warm template into each worker).
+    /// [`Ranker::commit_swap`] only has to install pointers and clone the
+    /// warm template into each worker.
     pub fn stage_swap(
         &self,
         artifact: RankingArtifact<M>,
@@ -371,8 +315,7 @@ impl<M: Recommender + Sync> Ranker<M> {
     pub fn commit_swap(&mut self, staged: StagedSwap<M>) -> (usize, usize) {
         let StagedSwap {
             artifact,
-            shared,
-            per_worker,
+            cache,
             warmed,
         } = staged;
         assert_eq!(
@@ -380,29 +323,14 @@ impl<M: Recommender + Sync> Ranker<M> {
             self.artifact.n_items(),
             "swap must keep the catalog size (candidate ids would dangle)"
         );
-        let mut retired = 0;
-        if let Some(old) = self.shared.take() {
-            let fresh = shared.unwrap_or_else(|| {
-                let shards = match self.config.cache_mode {
-                    CacheMode::Sharded { shards } => shards,
-                    CacheMode::PerWorker => 1,
-                };
-                SharedKernelCache::new(shards)
-            });
-            retired += fresh.carry_stats_from(&old);
-            self.shared = Some(fresh);
-        } else if self.config.kernel_cache_bytes > 0 {
-            let template = per_worker.unwrap_or_default();
-            let retired_pw = AtomicUsize::new(0);
-            self.pool.run(|_, state| {
-                let ws = state.get_or_default::<ServeWorkspace>();
-                retired_pw.fetch_add(ws.cache.adopt(&template), Ordering::Relaxed);
-            });
-            retired += retired_pw.into_inner();
-        }
+        let retired = AtomicUsize::new(0);
+        self.pool.run(|_, state| {
+            let ws = state.get_or_default::<ServeWorkspace>();
+            retired.fetch_add(ws.cache.adopt(&cache), Ordering::Relaxed);
+        });
         self.artifact = artifact;
         self.generation += 1;
-        (warmed, retired)
+        (warmed, retired.into_inner())
     }
 
     /// [`Ranker::stage_swap`] + [`Ranker::commit_swap`] in one call, for
@@ -420,100 +348,55 @@ impl<M: Recommender + Sync> Ranker<M> {
     /// before traffic, so their first request already hits. Candidate lists
     /// are deduplicated exactly like the serving path, and each entry is
     /// built in the form the serving path will look up
-    /// ([`ServeConfig::kernel_form`] applied to the pool size); pairs with
-    /// unknown users or out-of-catalog items are skipped, and a disabled
-    /// cache (`kernel_cache_bytes = 0`) warms nothing.
+    /// ([`ServeConfig::kernel_form`]); pairs with unknown users or
+    /// out-of-catalog items are skipped, and a disabled cache
+    /// (`kernel_cache_bytes = 0`) warms nothing.
     ///
-    /// In [`CacheMode::Sharded`] mode each pair is built once into the
-    /// shared cache. In [`CacheMode::PerWorker`] mode every pool worker
-    /// builds every pair into its own cache — chunk assignment depends
-    /// on future batch shapes, so all workers must hold a pair for its
-    /// first request to be a guaranteed hit. Prewarm builds are counted
-    /// as `prewarmed` in [`Ranker::cache_stats_detailed`], never as misses.
+    /// Every pool worker builds every pair into its own cache — chunk
+    /// assignment depends on future batch shapes, so all workers must hold
+    /// a pair for its first request to be a guaranteed hit. Prewarm builds
+    /// are counted as `prewarmed` in [`Ranker::cache_stats_detailed`],
+    /// never as misses.
     ///
     /// Prewarming is strictly *monotone*: it fills empty cache budget
-    /// and never evicts or overwrites a resident entry. A full cache (or
-    /// hash shard) refuses further pairs rather than churning earlier
-    /// ones — the prospective entry is sized in bytes *before* assembly —
-    /// and a user already resident with a different candidate pool
-    /// keeps that pool (the new pool refreshes via its first, missing,
-    /// request). Plans larger than `kernel_cache_bytes` (or whose users
-    /// hash unevenly across shards) therefore warm only a prefix; compare
-    /// the returned count against `pairs.len()` to detect that. Warm
-    /// entries stay warm as long as the working set fits the budget —
+    /// and never evicts or overwrites a resident entry. A full cache
+    /// refuses further pairs rather than churning earlier ones — the
+    /// prospective entry is sized in bytes *before* assembly — and a user
+    /// already resident with a different candidate pool keeps that pool
+    /// (the new pool refreshes via its first, missing, request). Plans
+    /// larger than `kernel_cache_bytes` therefore warm only a prefix;
+    /// compare the returned count against `pairs.len()` to detect that.
+    /// Warm entries stay warm as long as the working set fits the budget —
     /// *traffic* eviction is still plain LRU, so if enough cold-user
     /// misses land between prewarm and a warm pair's first request, that
     /// pair can be evicted before it hits; size the budget for the
     /// prewarm plan plus the expected cold interleave.
     ///
     /// Returns the number of pairs that are warm (resident with exactly
-    /// the requested pool) when the call returns — whether built now
-    /// or already resident. In `PerWorker` mode this is the minimum across
-    /// workers, i.e. the number of pairs guaranteed warm on *every*
-    /// worker, so the `pairs.len()` comparison is valid in both modes.
+    /// the requested pool) when the call returns — whether built now or
+    /// already resident — taking the minimum across workers: the number of
+    /// pairs guaranteed warm on *every* worker.
     pub fn prewarm(&mut self, pairs: &[(usize, Vec<usize>)]) -> usize {
         if self.config.kernel_cache_bytes == 0 {
             return 0;
         }
-        let budget = self.config.kernel_cache_bytes;
         let artifact = &self.artifact;
         let config = &self.config;
-        match &self.shared {
-            Some(cache) => {
-                // lint:allow(hotpath-alloc): prewarm is a cold warm-up pass
-                // that runs before traffic, not per request.
-                let (mut order, mut dup, mut dedup) = (Vec::new(), Vec::new(), Vec::new());
-                let mut warmed = 0;
-                for (user, candidates) in pairs {
-                    if !prewarmable(artifact, *user, candidates) {
-                        continue;
-                    }
-                    let key = dedup_first_occurrence(candidates, &mut order, &mut dup, &mut dedup);
-                    let form = entry_form(config, key.len());
-                    if cache.prewarm(*user, key, artifact.kernel(), budget, form) {
-                        warmed += 1;
-                    }
-                }
-                warmed
-            }
-            None => {
-                // Workers can disagree (earlier traffic left different
-                // residents), so report the minimum: pairs warm everywhere.
-                let warmed = AtomicUsize::new(usize::MAX);
-                self.pool.run(|_, state| {
-                    let ws = state.get_or_default::<ServeWorkspace>();
-                    let mut local = 0;
-                    for (user, candidates) in pairs {
-                        if !prewarmable(artifact, *user, candidates) {
-                            continue;
-                        }
-                        let key = dedup_first_occurrence(
-                            candidates,
-                            &mut ws.order,
-                            &mut ws.dup,
-                            &mut ws.dedup,
-                        );
-                        let form = entry_form(config, key.len());
-                        if ws
-                            .cache
-                            .prewarm(*user, key, artifact.kernel(), budget, form)
-                        {
-                            local += 1;
-                        }
-                    }
-                    warmed.fetch_min(local, Ordering::Relaxed);
-                });
-                warmed.into_inner()
-            }
-        }
+        // Workers can disagree (earlier traffic left different residents),
+        // so report the minimum: pairs warm everywhere.
+        let warmed = AtomicUsize::new(usize::MAX);
+        self.pool.run(|_, state| {
+            let ws = state.get_or_default::<ServeWorkspace>();
+            warmed.fetch_min(prewarm_into(ws, config, artifact, pairs), Ordering::Relaxed);
+        });
+        warmed.into_inner()
     }
 
-    /// Aggregate `(hits, misses)` of the kernel cache (per-worker caches
-    /// summed, or the shared cache's shards summed, per
-    /// [`ServeConfig::cache_mode`]). Disabled-cache passthroughs
-    /// (`kernel_cache_bytes = 0`) are **not** misses — they are counted
-    /// separately in [`Ranker::cache_bypasses`], so a hit rate derived from
-    /// this pair reflects only lookups the cache was allowed to serve.
+    /// Aggregate `(hits, misses)` of the kernel cache, summed over workers.
+    /// Disabled-cache passthroughs (`kernel_cache_bytes = 0`) are **not**
+    /// misses — they are counted separately in [`Ranker::cache_bypasses`],
+    /// so a hit rate derived from this pair reflects only lookups the cache
+    /// was allowed to serve.
     /// Reading stats never materializes serving state on idle workers.
     pub fn cache_stats(&mut self) -> (u64, u64) {
         let stats = self.cache_stats_detailed();
@@ -543,29 +426,23 @@ impl<M: Recommender + Sync> Ranker<M> {
         count.into_inner()
     }
 
-    /// Full per-shard + aggregate kernel-cache counters. In `PerWorker`
-    /// mode `per_shard[i]` is worker `i`'s cache (a worker that never
-    /// served a request reports a zero row — the read uses the pool's
-    /// optional-state accessor and does not create workspaces); in
-    /// `Sharded` mode `per_shard[i]` is hash shard `i`.
+    /// Full per-worker + aggregate kernel-cache counters: `per_worker[i]`
+    /// is worker `i`'s cache (a worker that never served a request reports
+    /// a zero row — the read uses the pool's optional-state accessor and
+    /// does not create workspaces).
     pub fn cache_stats_detailed(&mut self) -> CacheStats {
-        match &self.shared {
-            Some(cache) => CacheStats::from_shards(cache.stats()),
-            None => {
-                // lint:allow(hotpath-alloc): observability endpoint, called by
-                // operators — not on the request path.
-                let rows = std::sync::Mutex::new(vec![ShardStats::default(); self.pool.threads()]);
-                self.pool.run(|worker, state| {
-                    // Optional accessor: idle workers stay untouched instead
-                    // of materializing an empty workspace (and its cache)
-                    // just to report zeros.
-                    if let Some(ws) = state.get_mut::<ServeWorkspace>() {
-                        rows.lock().expect("stats lock")[worker] = ws.cache.shard_stats();
-                    }
-                });
-                CacheStats::from_shards(rows.into_inner().expect("stats lock"))
+        // lint:allow(hotpath-alloc): observability endpoint, called by
+        // operators — not on the request path.
+        let rows = std::sync::Mutex::new(vec![WorkerCacheStats::default(); self.pool.threads()]);
+        self.pool.run(|worker, state| {
+            // Optional accessor: idle workers stay untouched instead of
+            // materializing an empty workspace (and its cache) just to
+            // report zeros.
+            if let Some(ws) = state.get_mut::<ServeWorkspace>() {
+                rows.lock().expect("stats lock")[worker] = ws.cache.stats();
             }
-        }
+        });
+        CacheStats::from_workers(rows.into_inner().expect("stats lock"))
     }
 
     /// How many pool workers currently hold a materialized
@@ -586,22 +463,44 @@ impl<M> std::fmt::Debug for Ranker<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ranker")
             .field("threads", &self.pool.threads())
-            .field("cache_mode", &self.config.cache_mode)
+            .field("kernel_form", &self.config.kernel_form)
             .field("generation", &self.generation)
             .finish()
     }
 }
 
-/// Which cache-entry/kernel form the configured [`KernelForm`] selects for
-/// an effective reranked set of `len` candidates. The decision is applied to
-/// the *effective* set (the head size for degraded requests), so a degraded
-/// frontend request and the equivalent direct capped request route — and
-/// serve — identically.
-fn entry_form(config: &ServeConfig, len: usize) -> EntryForm {
+/// Which cache-entry/kernel form the configured [`KernelForm`] selects.
+fn entry_form(config: &ServeConfig) -> EntryForm {
     match config.kernel_form {
-        KernelForm::LowRankDual { min_candidates } if len >= min_candidates => EntryForm::Factor,
-        _ => EntryForm::Dense,
+        KernelForm::Dense => EntryForm::Dense,
+        KernelForm::LowRankDual => EntryForm::Factor,
     }
+}
+
+/// Warms `plan`'s servable pairs into `ws`'s cache (see [`Ranker::prewarm`])
+/// and returns how many are warm afterwards.
+fn prewarm_into<M: Recommender>(
+    ws: &mut ServeWorkspace,
+    config: &ServeConfig,
+    artifact: &RankingArtifact<M>,
+    plan: &[(usize, Vec<usize>)],
+) -> usize {
+    let budget = config.kernel_cache_bytes;
+    let form = entry_form(config);
+    let mut warmed = 0;
+    for (user, candidates) in plan {
+        if !prewarmable(artifact, *user, candidates) {
+            continue;
+        }
+        let key = dedup_first_occurrence(candidates, &mut ws.order, &mut ws.dup, &mut ws.dedup);
+        if ws
+            .cache
+            .prewarm(*user, key, artifact.kernel(), budget, form)
+        {
+            warmed += 1;
+        }
+    }
+    warmed
 }
 
 /// Assembles the tailored dense kernel `L = Diag(q)·K_C·Diag(q) + ε·I` into
@@ -683,14 +582,13 @@ fn dedup_first_occurrence<'a>(
 fn serve_request<M: Recommender>(
     artifact: &RankingArtifact<M>,
     config: &ServeConfig,
-    shared: Option<&SharedKernelCache>,
     ws: &mut ServeWorkspace,
     req: &RankRequest,
     resp: &mut RankResponse,
     generation: u64,
 ) {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        serve_one(artifact, config, shared, ws, req, resp, generation);
+        serve_one(artifact, config, ws, req, resp, generation);
     }));
     if result.is_err() {
         resp.user = req.user;
@@ -707,7 +605,6 @@ fn serve_request<M: Recommender>(
 fn serve_one<M: Recommender>(
     artifact: &RankingArtifact<M>,
     config: &ServeConfig,
-    shared: Option<&SharedKernelCache>,
     ws: &mut ServeWorkspace,
     req: &RankRequest,
     resp: &mut RankResponse,
@@ -761,8 +658,8 @@ fn serve_one<M: Recommender>(
     // `total_cmp`, then the survivors are re-sorted back into candidate
     // order so greedy-MAP tie-breaks match what the same head would produce
     // as a direct request. The head's kernel block is built directly —
-    // bypassing both cache backends — so a transient overload cannot churn
-    // the warm set keyed on full candidate pools.
+    // bypassing the cache — so a transient overload cannot churn the warm
+    // set keyed on full candidate pools.
     let degraded = req.rerank_head > 0 && req.rerank_head < c;
     if degraded {
         ws.head_order.clear();
@@ -784,9 +681,7 @@ fn serve_one<M: Recommender>(
     }
 
     // Effective reranked set: the head for degraded requests, the full
-    // deduplicated pool otherwise. The kernel-form decision keys on its
-    // size, so a degraded frontend request routes exactly like the
-    // equivalent direct capped request.
+    // deduplicated pool otherwise.
     let (cands_used, q_used): (&[usize], &[f64]) = if degraded {
         (&ws.head_cands, &ws.head_q)
     } else {
@@ -796,7 +691,7 @@ fn serve_one<M: Recommender>(
     let k = req.top_n.min(m);
     let budget = config.kernel_cache_bytes;
 
-    if entry_form(config, m) == EntryForm::Factor {
+    if entry_form(config) == EntryForm::Factor {
         // Dual path: fetch the factor rows V_C (cached per user, or
         // gathered directly for a degraded head), scale into
         // B = Diag(q)·V_C, and run greedy MAP against B·Bᵀ without ever
@@ -808,26 +703,13 @@ fn serve_one<M: Recommender>(
                 .expect("candidates validated above");
             (&ws.vc, false)
         } else {
-            match shared {
-                Some(cache) => {
-                    let hit = cache.get_or_build_into(
-                        req.user,
-                        cands_used,
-                        artifact.kernel(),
-                        budget,
-                        EntryForm::Factor,
-                        &mut ws.vc,
-                    );
-                    (&ws.vc, hit)
-                }
-                None => ws.cache.get_or_build(
-                    req.user,
-                    cands_used,
-                    artifact.kernel(),
-                    budget,
-                    EntryForm::Factor,
-                ),
-            }
+            ws.cache.get_or_build(
+                req.user,
+                cands_used,
+                artifact.kernel(),
+                budget,
+                EntryForm::Factor,
+            )
         };
         resp.cache_hit = hit;
         let d = v_c.cols();
@@ -867,16 +749,16 @@ fn serve_one<M: Recommender>(
             }
         }
     } else {
-        // Dense path: diversity submatrix K_C (cached per user —
-        // worker-private or shared per `cache_mode`; built directly for a
-        // degraded head), then the tailored kernel
-        // L = Diag(q)·K_C·Diag(q) + ε·I assembled into the reused buffer.
+        // Dense path: diversity submatrix K_C (cached per user in the
+        // worker's cache; built directly for a degraded head), then the
+        // tailored kernel L = Diag(q)·K_C·Diag(q) + ε·I assembled into the
+        // reused buffer.
         // The off-diagonal entries average the two factorization orders —
         // the same arithmetic as `DppKernel::from_quality_diversity` +
         // `symmetrize` — so the serve-side kernel matches the offline
         // `lkp_core::objective::tailored_kernel` bit for bit, not merely up
-        // to round-off. Both cache backends store bit-exact copies of what
-        // a miss recomputes, so the mode can never change a served list.
+        // to round-off. The cache stores bit-exact copies of what a miss
+        // recomputes, so a hit can never change a served list.
         let (k_sub, hit): (&Matrix, bool) = if degraded {
             artifact
                 .kernel()
@@ -884,26 +766,13 @@ fn serve_one<M: Recommender>(
                 .expect("candidates validated above");
             (&ws.head_sub, false)
         } else {
-            match shared {
-                Some(cache) => {
-                    let hit = cache.get_or_build_into(
-                        req.user,
-                        cands_used,
-                        artifact.kernel(),
-                        budget,
-                        EntryForm::Dense,
-                        &mut ws.shared_sub,
-                    );
-                    (&ws.shared_sub, hit)
-                }
-                None => ws.cache.get_or_build(
-                    req.user,
-                    cands_used,
-                    artifact.kernel(),
-                    budget,
-                    EntryForm::Dense,
-                ),
-            }
+            ws.cache.get_or_build(
+                req.user,
+                cands_used,
+                artifact.kernel(),
+                budget,
+                EntryForm::Dense,
+            )
         };
         resp.cache_hit = hit;
         ws.l.reset(m, m);

@@ -183,8 +183,5 @@ fn warm_dense_serving_does_not_allocate() {
 
 #[test]
 fn warm_dual_serving_does_not_allocate() {
-    assert_warm_path_alloc_free(
-        KernelForm::LowRankDual { min_candidates: 0 },
-        "low-rank dual",
-    );
+    assert_warm_path_alloc_free(KernelForm::LowRankDual, "low-rank dual");
 }

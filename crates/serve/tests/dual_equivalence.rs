@@ -1,6 +1,6 @@
 //! The `dual_serving_equivalence` gate: the low-rank dual serving path must
-//! select the same lists as the dense path — across cache modes, pool
-//! widths, cold vs prewarmed caches, and frontend vs direct batching — and
+//! select the same lists as the dense path — across pool widths, cold vs
+//! prewarmed caches, and frontend vs direct batching — and
 //! its dense fallback must be bit-identical to dense-mode serving.
 //!
 //! Cross-form comparisons check `user` + `items` only: the dual recursion
@@ -15,8 +15,8 @@ use lkp_dpp::LowRankKernel;
 use lkp_models::MatrixFactorization;
 use lkp_nn::AdamConfig;
 use lkp_serve::{
-    CacheMode, FrontendConfig, KernelForm, ManualClock, RankRequest, RankResponse, Ranker,
-    RankingArtifact, ServeConfig, ServeFrontend, Ticket,
+    FrontendConfig, KernelForm, ManualClock, RankRequest, RankResponse, Ranker, RankingArtifact,
+    ServeConfig, ServeFrontend, Ticket,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,13 +82,11 @@ fn requests(data: &Dataset, top_n: usize) -> Vec<RankRequest> {
         .collect()
 }
 
-/// Everything-dual config: `min_candidates: 0` routes every request through
-/// the factored path.
-fn dual_config(threads: usize, cache_mode: CacheMode) -> ServeConfig {
+/// Dual-form config: every request runs the factored path.
+fn dual_config(threads: usize) -> ServeConfig {
     ServeConfig {
         threads,
-        cache_mode,
-        kernel_form: KernelForm::LowRankDual { min_candidates: 0 },
+        kernel_form: KernelForm::LowRankDual,
         ..Default::default()
     }
 }
@@ -111,8 +109,8 @@ fn assert_same_bits(got: &RankResponse, want: &RankResponse, context: &str) {
 }
 
 /// Acceptance criterion: the dual path serves the same lists as the dense
-/// path across `PerWorker`/`Sharded` × widths 1/2/4 × cold/prewarmed ×
-/// frontend-vs-direct, with zero dense fallbacks, and is bitwise
+/// path across widths 1/2/4 × cold/prewarmed × frontend-vs-direct, with
+/// zero dense fallbacks, and is bitwise
 /// self-consistent across that whole matrix.
 #[test]
 fn dense_vs_dual_equivalence_matrix() {
@@ -137,109 +135,76 @@ fn dense_vs_dual_equivalence_matrix() {
     // Dual self-consistency reference, filled by the first dual run.
     let mut dual_bits: Option<Vec<RankResponse>> = None;
 
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        for threads in [1usize, 2, 4] {
-            for prewarmed in [false, true] {
-                for frontend_path in [false, true] {
-                    let context = format!(
-                        "mode {cache_mode:?} threads {threads} prewarmed {prewarmed} \
-                         frontend {frontend_path}"
+    for threads in [1usize, 2, 4] {
+        for prewarmed in [false, true] {
+            for frontend_path in [false, true] {
+                let context = format!(
+                    "threads {threads} prewarmed {prewarmed} \
+                     frontend {frontend_path}"
+                );
+                let mut ranker = Ranker::new(
+                    RankingArtifact::snapshot(&model, &kernel),
+                    dual_config(threads),
+                );
+                let got: Vec<RankResponse> = if frontend_path {
+                    let mut frontend = ServeFrontend::with_clock(
+                        ranker,
+                        FrontendConfig {
+                            max_batch: 7,
+                            ..Default::default()
+                        },
+                        Box::new(ManualClock::new()),
                     );
-                    let mut ranker = Ranker::new(
-                        RankingArtifact::snapshot(&model, &kernel),
-                        dual_config(threads, cache_mode),
-                    );
-                    let got: Vec<RankResponse> = if frontend_path {
-                        let mut frontend = ServeFrontend::with_clock(
-                            ranker,
-                            FrontendConfig {
-                                max_batch: 7,
-                                ..Default::default()
-                            },
-                            Box::new(ManualClock::new()),
-                        );
-                        if prewarmed {
-                            assert_eq!(frontend.prewarm(&prewarm_pairs), reqs.len(), "{context}");
-                        }
-                        let tickets: Vec<Ticket> =
-                            reqs.iter().map(|r| frontend.submit(r.clone())).collect();
-                        frontend.flush();
-                        let got = tickets
-                            .iter()
-                            .map(|t| {
-                                frontend
-                                    .try_take(*t)
-                                    .unwrap_or_else(|| panic!("{context}: unserved ticket"))
-                            })
-                            .collect();
-                        if prewarmed {
-                            let stats = frontend.ranker().cache_stats_detailed();
-                            assert_eq!(stats.aggregate.misses, 0, "{context}: prewarmed misses");
-                        }
-                        assert_eq!(
-                            frontend.ranker().dual_fallbacks(),
-                            0,
-                            "{context}: no spurious breakdowns"
-                        );
-                        got
-                    } else {
-                        if prewarmed {
-                            assert_eq!(ranker.prewarm(&prewarm_pairs), reqs.len(), "{context}");
-                        }
-                        let got = ranker.rank_batch(&reqs);
-                        assert_eq!(
-                            ranker.dual_fallbacks(),
-                            0,
-                            "{context}: no spurious breakdowns"
-                        );
-                        got
-                    };
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_same_list(g, w, &context);
+                    if prewarmed {
+                        assert_eq!(frontend.prewarm(&prewarm_pairs), reqs.len(), "{context}");
                     }
-                    match &dual_bits {
-                        None => dual_bits = Some(got),
-                        Some(first) => {
-                            for (g, w) in got.iter().zip(first) {
-                                assert_same_bits(g, w, &context);
-                            }
+                    let tickets: Vec<Ticket> =
+                        reqs.iter().map(|r| frontend.submit(r.clone())).collect();
+                    frontend.flush();
+                    let got = tickets
+                        .iter()
+                        .map(|t| {
+                            frontend
+                                .try_take(*t)
+                                .unwrap_or_else(|| panic!("{context}: unserved ticket"))
+                        })
+                        .collect();
+                    if prewarmed {
+                        let stats = frontend.ranker().cache_stats_detailed();
+                        assert_eq!(stats.aggregate.misses, 0, "{context}: prewarmed misses");
+                    }
+                    assert_eq!(
+                        frontend.ranker().dual_fallbacks(),
+                        0,
+                        "{context}: no spurious breakdowns"
+                    );
+                    got
+                } else {
+                    if prewarmed {
+                        assert_eq!(ranker.prewarm(&prewarm_pairs), reqs.len(), "{context}");
+                    }
+                    let got = ranker.rank_batch(&reqs);
+                    assert_eq!(
+                        ranker.dual_fallbacks(),
+                        0,
+                        "{context}: no spurious breakdowns"
+                    );
+                    got
+                };
+                for (g, w) in got.iter().zip(&want) {
+                    assert_same_list(g, w, &context);
+                }
+                match &dual_bits {
+                    None => dual_bits = Some(got),
+                    Some(first) => {
+                        for (g, w) in got.iter().zip(first) {
+                            assert_same_bits(g, w, &context);
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// `min_candidates` above the pool size routes everything dense: serving is
-/// then bit-identical to `KernelForm::Dense` (same code path, same cache
-/// entries), with zero fallbacks recorded.
-#[test]
-fn min_candidates_above_pool_size_is_bitwise_dense() {
-    let data = data();
-    let (model, kernel) = trained(&data);
-    let reqs = requests(&data, 5);
-    let mut dense = Ranker::new(
-        RankingArtifact::snapshot(&model, &kernel),
-        ServeConfig {
-            threads: 2,
-            ..Default::default()
-        },
-    );
-    let want = dense.rank_batch(&reqs);
-    let mut routed = Ranker::new(
-        RankingArtifact::snapshot(&model, &kernel),
-        ServeConfig {
-            threads: 2,
-            kernel_form: KernelForm::LowRankDual { min_candidates: 21 },
-            ..Default::default()
-        },
-    );
-    let got = routed.rank_batch(&reqs);
-    for (g, w) in got.iter().zip(&want) {
-        assert_same_bits(g, w, "min_candidates routing");
-    }
-    assert_eq!(routed.dual_fallbacks(), 0);
 }
 
 /// Fault injection: a negative `dual_guard` makes every dual request break
@@ -260,29 +225,26 @@ fn breakdown_fallback_is_bitwise_identical_to_dense() {
     );
     let want = dense.rank_batch(&reqs);
 
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        let mut broken = Ranker::new(
-            RankingArtifact::snapshot(&model, &kernel),
-            ServeConfig {
-                dual_guard: -1.0,
-                ..dual_config(2, cache_mode)
-            },
-        );
-        let got = broken.rank_batch(&reqs);
-        for (g, w) in got.iter().zip(&want) {
-            assert_same_bits(g, w, &format!("fallback {cache_mode:?}"));
-        }
-        assert_eq!(
-            broken.dual_fallbacks(),
-            reqs.len() as u64,
-            "{cache_mode:?}: every request must record its breakdown"
-        );
+    let mut broken = Ranker::new(
+        RankingArtifact::snapshot(&model, &kernel),
+        ServeConfig {
+            dual_guard: -1.0,
+            ..dual_config(2)
+        },
+    );
+    let got = broken.rank_batch(&reqs);
+    for (g, w) in got.iter().zip(&want) {
+        assert_same_bits(g, w, "fallback");
     }
+    assert_eq!(
+        broken.dual_fallbacks(),
+        reqs.len() as u64,
+        "every request must record its breakdown"
+    );
 }
 
 /// Degraded requests (capped rerank head) serve the same lists in dual mode
-/// as in dense mode, and `min_candidates` is applied to the *effective*
-/// head size — a head under the threshold stays bit-identical to dense.
+/// as in dense mode.
 #[test]
 fn degraded_rerank_head_dual_equivalence() {
     let data = data();
@@ -301,33 +263,13 @@ fn degraded_rerank_head_dual_equivalence() {
     let want = dense.rank_batch(&reqs);
     assert!(want.iter().all(|r| r.degraded), "heads must actually cap");
 
-    // Head (8) ≥ min_candidates (0): the degraded request runs dual.
-    let mut dual = Ranker::new(
-        RankingArtifact::snapshot(&model, &kernel),
-        dual_config(2, CacheMode::PerWorker),
-    );
+    let mut dual = Ranker::new(RankingArtifact::snapshot(&model, &kernel), dual_config(2));
     let got = dual.rank_batch(&reqs);
     for (g, w) in got.iter().zip(&want) {
         assert_same_list(g, w, "degraded dual");
         assert!(g.degraded, "degraded flag survives the dual path");
     }
     assert_eq!(dual.dual_fallbacks(), 0);
-
-    // Head (8) < min_candidates (10) ≤ pool (20): the *head* decides, so
-    // the degraded request stays dense — bitwise — even though the full
-    // pool would have gone dual.
-    let mut routed = Ranker::new(
-        RankingArtifact::snapshot(&model, &kernel),
-        ServeConfig {
-            threads: 2,
-            kernel_form: KernelForm::LowRankDual { min_candidates: 10 },
-            ..Default::default()
-        },
-    );
-    let got = routed.rank_batch(&reqs);
-    for (g, w) in got.iter().zip(&want) {
-        assert_same_bits(g, w, "degraded head under threshold");
-    }
 }
 
 /// Zero-downtime artifact swap under dual-mode traffic: queued requests
@@ -351,59 +293,55 @@ fn swap_under_traffic_in_dual_mode() {
         .map(|r| (r.user, r.candidates.clone()))
         .collect();
 
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        let config = dual_config(2, cache_mode);
-        let mut ranker_a =
-            Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone());
-        let want_a = ranker_a.rank_batch(&reqs);
-        let mut ranker_b =
-            Ranker::new(RankingArtifact::snapshot(&model_b, &kernel), config.clone());
-        let want_b = ranker_b.rank_batch(&reqs);
+    let config = dual_config(2);
+    let mut ranker_a = Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone());
+    let want_a = ranker_a.rank_batch(&reqs);
+    let mut ranker_b = Ranker::new(RankingArtifact::snapshot(&model_b, &kernel), config.clone());
+    let want_b = ranker_b.rank_batch(&reqs);
 
-        let mut frontend = ServeFrontend::with_clock(
-            Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone()),
-            FrontendConfig {
-                max_batch: reqs.len(),
-                ..Default::default()
-            },
-            Box::new(ManualClock::new()),
-        );
+    let mut frontend = ServeFrontend::with_clock(
+        Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone()),
+        FrontendConfig {
+            max_batch: reqs.len(),
+            ..Default::default()
+        },
+        Box::new(ManualClock::new()),
+    );
 
-        // Generation 1 dual traffic (populates the factor cache the swap
-        // will retire).
-        let tickets: Vec<Ticket> = reqs
-            .iter()
-            .map(|r| frontend.try_submit(r.clone()).unwrap())
-            .collect();
-        frontend.flush();
-        for (ticket, want) in tickets.iter().zip(&want_a) {
-            let resp = frontend.try_take(*ticket).expect("gen-1 ticket");
-            assert_same_bits(&resp, want, &format!("{cache_mode:?} gen 1"));
-        }
-
-        // Queue traffic, swap between cuts, then serve: new generation,
-        // prewarmed factor entries, zero misses.
-        let queued: Vec<Ticket> = reqs
-            .iter()
-            .map(|r| frontend.try_submit(r.clone()).unwrap())
-            .collect();
-        let report = frontend.swap_artifact(RankingArtifact::snapshot(&model_b, &kernel), &plan);
-        assert_eq!(report.warmed, plan.len(), "{cache_mode:?}: plan fully warm");
-        assert!(report.retired > 0, "{cache_mode:?}: old entries retired");
-        let (_, misses_before) = frontend.ranker().cache_stats();
-        frontend.flush();
-        let (_, misses_after) = frontend.ranker().cache_stats();
-        assert_eq!(
-            misses_after - misses_before,
-            0,
-            "{cache_mode:?}: prewarmed post-swap dual batch must not miss"
-        );
-        for (ticket, want) in queued.iter().zip(&want_b) {
-            let resp = frontend.try_take(*ticket).expect("gen-2 ticket");
-            assert_eq!(resp.generation, 2, "{cache_mode:?}");
-            assert!(resp.cache_hit, "{cache_mode:?}: prewarmed factor hit");
-            assert_same_bits(&resp, want, &format!("{cache_mode:?} gen 2"));
-        }
-        assert_eq!(frontend.ranker().dual_fallbacks(), 0, "{cache_mode:?}");
+    // Generation 1 dual traffic (populates the factor cache the swap
+    // will retire).
+    let tickets: Vec<Ticket> = reqs
+        .iter()
+        .map(|r| frontend.try_submit(r.clone()).unwrap())
+        .collect();
+    frontend.flush();
+    for (ticket, want) in tickets.iter().zip(&want_a) {
+        let resp = frontend.try_take(*ticket).expect("gen-1 ticket");
+        assert_same_bits(&resp, want, "gen 1");
     }
+
+    // Queue traffic, swap between cuts, then serve: new generation,
+    // prewarmed factor entries, zero misses.
+    let queued: Vec<Ticket> = reqs
+        .iter()
+        .map(|r| frontend.try_submit(r.clone()).unwrap())
+        .collect();
+    let report = frontend.swap_artifact(RankingArtifact::snapshot(&model_b, &kernel), &plan);
+    assert_eq!(report.warmed, plan.len(), "plan fully warm");
+    assert!(report.retired > 0, "old entries retired");
+    let (_, misses_before) = frontend.ranker().cache_stats();
+    frontend.flush();
+    let (_, misses_after) = frontend.ranker().cache_stats();
+    assert_eq!(
+        misses_after - misses_before,
+        0,
+        "prewarmed post-swap dual batch must not miss"
+    );
+    for (ticket, want) in queued.iter().zip(&want_b) {
+        let resp = frontend.try_take(*ticket).expect("gen-2 ticket");
+        assert_eq!(resp.generation, 2);
+        assert!(resp.cache_hit, "prewarmed factor hit");
+        assert_same_bits(&resp, want, "gen 2");
+    }
+    assert_eq!(frontend.ranker().dual_fallbacks(), 0);
 }

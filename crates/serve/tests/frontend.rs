@@ -1,7 +1,7 @@
 //! Frontend integration tests: micro-batched submission must serve bitwise
-//! the same lists as direct batching — at any pool width, in either cache
-//! mode, cold or pre-warmed — and the cut policy must be deterministic
-//! under the injected clock.
+//! the same lists as direct batching — at any pool width, cold or
+//! pre-warmed — and the cut policy must be deterministic under the injected
+//! clock.
 
 use lkp_core::objective::{LkpKind, LkpObjective};
 use lkp_core::{train_diversity_kernel, DiversityKernelConfig, TrainConfig, Trainer};
@@ -10,8 +10,8 @@ use lkp_dpp::LowRankKernel;
 use lkp_models::MatrixFactorization;
 use lkp_nn::AdamConfig;
 use lkp_serve::{
-    CacheMode, FrontendConfig, ManualClock, RankRequest, RankResponse, Ranker, RankingArtifact,
-    ServeConfig, ServeFrontend, Ticket,
+    FrontendConfig, ManualClock, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig,
+    ServeFrontend, Ticket,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,8 +86,7 @@ fn assert_same(got: &RankResponse, want: &RankResponse, context: &str) {
 }
 
 /// Acceptance criterion: served lists are bitwise identical across frontend
-/// vs direct `rank_batch`, `PerWorker` vs `Sharded` cache mode, and pool
-/// widths 1/2/4 — cold and pre-warmed.
+/// vs direct `rank_batch` and pool widths 1/2/4 — cold and pre-warmed.
 #[test]
 fn frontend_cache_mode_and_width_equivalence() {
     let data = data();
@@ -108,63 +107,59 @@ fn frontend_cache_mode_and_width_equivalence() {
     );
     let want = reference.rank_batch(&reqs);
 
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        for threads in [1usize, 2, 4] {
-            for prewarmed in [false, true] {
-                let ranker = Ranker::new(
-                    RankingArtifact::snapshot(&model, &kernel),
-                    ServeConfig {
-                        threads,
-                        cache_mode,
-                        ..Default::default()
-                    },
+    for threads in [1usize, 2, 4] {
+        for prewarmed in [false, true] {
+            let ranker = Ranker::new(
+                RankingArtifact::snapshot(&model, &kernel),
+                ServeConfig {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            let clock = ManualClock::new();
+            let mut frontend = ServeFrontend::with_clock(
+                ranker,
+                FrontendConfig {
+                    max_batch: 7,
+                    max_wait: Duration::from_millis(2),
+                    ..Default::default()
+                },
+                Box::new(clock.clone()),
+            );
+            if prewarmed {
+                assert_eq!(
+                    frontend.prewarm(&prewarm_pairs),
+                    reqs.len(),
+                    "the whole plan fits the budget, so every pair warms"
                 );
-                let clock = ManualClock::new();
-                let mut frontend = ServeFrontend::with_clock(
-                    ranker,
-                    FrontendConfig {
-                        max_batch: 7,
-                        max_wait: Duration::from_millis(2),
-                        ..Default::default()
-                    },
-                    Box::new(clock.clone()),
+            }
+            // Mixed cut pattern: some batches cut by size during
+            // submission, one by deadline mid-stream, the tail by
+            // flush.
+            let mut tickets: Vec<Ticket> = Vec::new();
+            for (i, req) in reqs.iter().enumerate() {
+                tickets.push(frontend.submit(req.clone()));
+                if i == 9 {
+                    clock.advance(Duration::from_millis(3));
+                    frontend.pump();
+                }
+            }
+            frontend.flush();
+            let context = format!("threads {threads} prewarmed {prewarmed}");
+            for (ticket, want) in tickets.iter().zip(&want) {
+                let got = frontend
+                    .try_take(*ticket)
+                    .unwrap_or_else(|| panic!("{context}: unserved ticket {ticket:?}"));
+                assert_same(&got, want, &context);
+            }
+            if prewarmed {
+                let stats = frontend.ranker().cache_stats_detailed();
+                assert_eq!(
+                    stats.aggregate.misses, 0,
+                    "{context}: prewarmed traffic must serve its first \
+                     batch with zero kernel-assembly misses"
                 );
-                if prewarmed {
-                    assert_eq!(
-                        frontend.prewarm(&prewarm_pairs),
-                        reqs.len(),
-                        "the whole plan fits the budget, so every pair warms"
-                    );
-                }
-                // Mixed cut pattern: some batches cut by size during
-                // submission, one by deadline mid-stream, the tail by
-                // flush.
-                let mut tickets: Vec<Ticket> = Vec::new();
-                for (i, req) in reqs.iter().enumerate() {
-                    tickets.push(frontend.submit(req.clone()));
-                    if i == 9 {
-                        clock.advance(Duration::from_millis(3));
-                        frontend.pump();
-                    }
-                }
-                frontend.flush();
-                let context =
-                    format!("mode {cache_mode:?} threads {threads} prewarmed {prewarmed}");
-                for (ticket, want) in tickets.iter().zip(&want) {
-                    let got = frontend
-                        .try_take(*ticket)
-                        .unwrap_or_else(|| panic!("{context}: unserved ticket {ticket:?}"));
-                    assert_same(&got, want, &context);
-                }
-                if prewarmed {
-                    let stats = frontend.ranker().cache_stats_detailed();
-                    assert_eq!(
-                        stats.aggregate.misses, 0,
-                        "{context}: prewarmed traffic must serve its first \
-                         batch with zero kernel-assembly misses"
-                    );
-                    assert_eq!(stats.aggregate.hits, reqs.len() as u64);
-                }
+                assert_eq!(stats.aggregate.hits, reqs.len() as u64);
             }
         }
     }
@@ -277,7 +272,6 @@ fn oversized_prewarm_plan_warms_a_stable_prefix() {
             // Exactly 8 dense entries of the 20-candidate pools:
             // 8 · 8·(20 + 20²) bytes.
             kernel_cache_bytes: 8 * 8 * (20 + 20 * 20),
-            cache_mode: CacheMode::Sharded { shards: 1 },
             ..Default::default()
         },
     );
@@ -387,8 +381,7 @@ fn prewarm_skips_invalid_and_duplicate_pairs() {
     let mut ranker = Ranker::new(
         RankingArtifact::snapshot(&model, &kernel),
         ServeConfig {
-            threads: 1,
-            cache_mode: CacheMode::Sharded { shards: 2 },
+            threads: 2,
             ..Default::default()
         },
     );
@@ -404,15 +397,52 @@ fn prewarm_skips_invalid_and_duplicate_pairs() {
         warmed, 3,
         "warm-after-call pairs: first, its duplicate, and user 2"
     );
-    assert_eq!(
-        ranker.cache_stats_detailed().aggregate.prewarmed,
-        2,
-        "only two assemblies were actually performed"
-    );
+    let stats = ranker.cache_stats_detailed();
+    assert_eq!(stats.per_worker.len(), 2);
+    for worker in &stats.per_worker {
+        assert_eq!(
+            worker.prewarmed, 2,
+            "only two assemblies were actually performed"
+        );
+    }
     // The deduplicated prewarm key matches what a duplicated request looks
     // up: first traffic is a hit.
     let resp = ranker.rank_one(&RankRequest::new(2, vec![4, 4, 9], 2));
     assert!(resp.cache_hit, "prewarmed (deduped) pair must hit");
     let (hits, misses) = ranker.cache_stats();
     assert_eq!((hits, misses), (1, 0));
+}
+
+#[test]
+fn prewarm_reports_pairs_warm_on_every_worker() {
+    // One batch of two requests splits into one request per worker: worker
+    // 0 caches user 3 with pool A, worker 1 with pool B. Prewarming
+    // (3, A) is then warm on worker 0 only — worker 1 refuses to overwrite
+    // its resident pool — so the pair is not warm on every worker.
+    let data = data();
+    let (model, kernel) = trained(&data);
+    let mut ranker = Ranker::new(
+        RankingArtifact::snapshot(&model, &kernel),
+        ServeConfig {
+            threads: 2,
+            ..Default::default()
+        },
+    );
+    let pool_a = vec![1, 5, 9, 13, 17];
+    let pool_b = vec![2, 6, 10, 14, 18];
+    ranker.rank_batch(&[
+        RankRequest::new(3, pool_a.clone(), 3),
+        RankRequest::new(3, pool_b.clone(), 3),
+    ]);
+    let stats = ranker.cache_stats_detailed();
+    assert!(
+        stats.per_worker.iter().all(|w| w.misses == 1),
+        "each worker served one request: {stats:?}"
+    );
+    assert_eq!(ranker.prewarm(&[(3, pool_a.clone())]), 0);
+    assert_eq!(ranker.prewarm(&[(3, pool_b)]), 0);
+    // Neither worker built anything: both pairs were resident or refused.
+    assert_eq!(ranker.cache_stats_detailed().aggregate.prewarmed, 0);
+    // The caller worker (0) still holds pool A.
+    assert!(ranker.rank_one(&RankRequest::new(3, pool_a, 3)).cache_hit);
 }

@@ -2,8 +2,7 @@
 //! `Trainer::update` lands in a *running* `FrontendDriver` through
 //! `RankingArtifact::refresh_from` + `swap_artifact` under one generation
 //! bump — no restart, bitwise per generation, and zero post-swap assembly
-//! misses — in both kernel-cache modes. Also pins the artifact-level
-//! no-op contract: an empty-delta refresh serves bitwise identically to
+//! misses. Also pins the artifact-level no-op contract: an empty-delta refresh serves bitwise identically to
 //! the base artifact.
 
 use lkp_core::objective::{LkpKind, LkpObjective};
@@ -13,7 +12,7 @@ use lkp_dpp::LowRankKernel;
 use lkp_models::MatrixFactorization;
 use lkp_nn::AdamConfig;
 use lkp_serve::{
-    CacheMode, FrontendConfig, FrontendDriver, RankOutcome, RankRequest, RankResponse, Ranker,
+    FrontendConfig, FrontendDriver, RankOutcome, RankRequest, RankResponse, Ranker,
     RankingArtifact, ServeConfig, ServeFrontend, SubmitError, Ticket,
 };
 use rand::rngs::StdRng;
@@ -111,10 +110,9 @@ fn assert_same(got: &RankResponse, want: &RankResponse, context: &str) {
     );
 }
 
-fn serve_cfg(mode: CacheMode) -> ServeConfig {
+fn serve_cfg() -> ServeConfig {
     ServeConfig {
         threads: 2,
-        cache_mode: mode,
         ..Default::default()
     }
 }
@@ -137,7 +135,7 @@ fn submit_retrying(
 /// submitter threads stream. Per-generation responses are bitwise the
 /// direct rankers', generations are monotone in ticket order, and a
 /// post-swap replay of every planned request hits the swap-staged cache
-/// with **zero** assembly misses — in both cache modes.
+/// with **zero** assembly misses.
 #[test]
 fn refreshed_artifact_swaps_live_with_zero_post_swap_misses() {
     let data = data();
@@ -168,100 +166,98 @@ fn refreshed_artifact_swaps_live_with_zero_post_swap_misses() {
         .map(|r| (r.user, r.candidates.clone()))
         .collect();
 
-    for mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        let want_a = Ranker::new(artifact_v1.clone(), serve_cfg(mode)).rank_batch(&reqs);
-        let want_b = Ranker::new(artifact_v2.clone(), serve_cfg(mode)).rank_batch(&reqs);
+    let want_a = Ranker::new(artifact_v1.clone(), serve_cfg()).rank_batch(&reqs);
+    let want_b = Ranker::new(artifact_v2.clone(), serve_cfg()).rank_batch(&reqs);
 
-        let frontend = ServeFrontend::new(
-            Ranker::new(artifact_v1.clone(), serve_cfg(mode)),
-            FrontendConfig {
-                max_batch: 8,
-                max_wait: Duration::from_micros(500),
-                queue_capacity: 32,
-                ..Default::default()
-            },
-        );
-        let driver = FrontendDriver::spawn(frontend);
+    let frontend = ServeFrontend::new(
+        Ranker::new(artifact_v1.clone(), serve_cfg()),
+        FrontendConfig {
+            max_batch: 8,
+            max_wait: Duration::from_micros(500),
+            queue_capacity: 32,
+            ..Default::default()
+        },
+    );
+    let driver = FrontendDriver::spawn(frontend);
 
-        let rounds = 4usize;
-        let handles: Vec<_> = (0..2usize)
-            .map(|t| {
-                let client = driver.client();
-                let reqs = reqs.clone();
-                std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    for round in 0..rounds {
-                        for i in 0..reqs.len() {
-                            let req = &reqs[(i + t * 11 + round) % reqs.len()];
-                            let ticket = submit_retrying(&client, req);
-                            out.push((req.user, ticket));
-                        }
+    let rounds = 4usize;
+    let handles: Vec<_> = (0..2usize)
+        .map(|t| {
+            let client = driver.client();
+            let reqs = reqs.clone();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                for round in 0..rounds {
+                    for i in 0..reqs.len() {
+                        let req = &reqs[(i + t * 11 + round) % reqs.len()];
+                        let ticket = submit_retrying(&client, req);
+                        out.push((req.user, ticket));
                     }
-                    out.into_iter()
-                        .map(|(user, ticket)| {
-                            let resp = client
-                                .take_deadline(ticket, Duration::from_secs(30))
-                                .expect("every accepted ticket completes");
-                            (user, ticket, resp)
-                        })
-                        .collect::<Vec<_>>()
-                })
+                }
+                out.into_iter()
+                    .map(|(user, ticket)| {
+                        let resp = client
+                            .take_deadline(ticket, Duration::from_secs(30))
+                            .expect("every accepted ticket completes");
+                        (user, ticket, resp)
+                    })
+                    .collect::<Vec<_>>()
             })
-            .collect();
+        })
+        .collect();
 
-        // The refresh lands mid-stream: one generation bump, every planned
-        // pair staged warm before the commit.
-        std::thread::sleep(Duration::from_millis(5));
-        let report = driver.client().swap_artifact(artifact_v2.clone(), &plan);
-        assert_eq!(report.generation, 2, "{mode:?}: one bump");
-        assert_eq!(report.warmed, plan.len(), "{mode:?}: staged fully warm");
+    // The refresh lands mid-stream: one generation bump, every planned
+    // pair staged warm before the commit.
+    std::thread::sleep(Duration::from_millis(5));
+    let report = driver.client().swap_artifact(artifact_v2.clone(), &plan);
+    assert_eq!(report.generation, 2, "one bump");
+    assert_eq!(report.warmed, plan.len(), "staged fully warm");
 
-        let mut by_ticket: Vec<(Ticket, u64)> = Vec::new();
-        for handle in handles {
-            for (user, ticket, resp) in handle.join().expect("submitter thread") {
-                assert_eq!(resp.outcome, RankOutcome::Served);
-                let want = match resp.generation {
-                    1 => &want_a[user],
-                    2 => &want_b[user],
-                    g => panic!("{mode:?}: unexpected generation {g}"),
-                };
-                assert_same(&resp, want, &format!("{mode:?} per-generation"));
-                by_ticket.push((ticket, resp.generation));
-            }
+    let mut by_ticket: Vec<(Ticket, u64)> = Vec::new();
+    for handle in handles {
+        for (user, ticket, resp) in handle.join().expect("submitter thread") {
+            assert_eq!(resp.outcome, RankOutcome::Served);
+            let want = match resp.generation {
+                1 => &want_a[user],
+                2 => &want_b[user],
+                g => panic!("unexpected generation {g}"),
+            };
+            assert_same(&resp, want, "per-generation");
+            by_ticket.push((ticket, resp.generation));
         }
-        by_ticket.sort_unstable_by_key(|&(ticket, _)| ticket);
-        for pair in by_ticket.windows(2) {
-            assert!(
-                pair[0].1 <= pair[1].1,
-                "{mode:?}: generation regressed in ticket order: {pair:?}"
-            );
-        }
-        assert_eq!(driver.client().generation(), 2);
-        let stats = driver.client().stats();
-        assert_eq!(stats.swaps, 1);
-        assert_eq!(stats.served, stats.submitted, "no ticket lost across swap");
-
-        // Zero post-swap assembly misses: replay every planned request on
-        // the shutdown-returned frontend; the swap staged each pair warm,
-        // so not a single kernel block is reassembled.
-        let mut frontend = driver.shutdown().expect("no surviving clients");
-        let (_, misses_before) = frontend.ranker().cache_stats();
-        let tickets: Vec<Ticket> = reqs
-            .iter()
-            .map(|r| frontend.try_submit(r.clone()).expect("replay admitted"))
-            .collect();
-        frontend.flush();
-        let (_, misses_after) = frontend.ranker().cache_stats();
-        assert_eq!(
-            misses_after - misses_before,
-            0,
-            "{mode:?}: post-swap traffic must hit the swap-staged entries"
+    }
+    by_ticket.sort_unstable_by_key(|&(ticket, _)| ticket);
+    for pair in by_ticket.windows(2) {
+        assert!(
+            pair[0].1 <= pair[1].1,
+            "generation regressed in ticket order: {pair:?}"
         );
-        for (ticket, want) in tickets.iter().zip(&want_b) {
-            let resp = frontend.try_take(*ticket).expect("replayed ticket");
-            assert_eq!(resp.generation, 2, "{mode:?}");
-            assert_same(&resp, want, &format!("{mode:?} post-swap replay"));
-        }
+    }
+    assert_eq!(driver.client().generation(), 2);
+    let stats = driver.client().stats();
+    assert_eq!(stats.swaps, 1);
+    assert_eq!(stats.served, stats.submitted, "no ticket lost across swap");
+
+    // Zero post-swap assembly misses: replay every planned request on
+    // the shutdown-returned frontend; the swap staged each pair warm,
+    // so not a single kernel block is reassembled.
+    let mut frontend = driver.shutdown().expect("no surviving clients");
+    let (_, misses_before) = frontend.ranker().cache_stats();
+    let tickets: Vec<Ticket> = reqs
+        .iter()
+        .map(|r| frontend.try_submit(r.clone()).expect("replay admitted"))
+        .collect();
+    frontend.flush();
+    let (_, misses_after) = frontend.ranker().cache_stats();
+    assert_eq!(
+        misses_after - misses_before,
+        0,
+        "post-swap traffic must hit the swap-staged entries"
+    );
+    for (ticket, want) in tickets.iter().zip(&want_b) {
+        let resp = frontend.try_take(*ticket).expect("replayed ticket");
+        assert_eq!(resp.generation, 2);
+        assert_same(&resp, want, "post-swap replay");
     }
 }
 
@@ -285,8 +281,8 @@ fn empty_delta_refresh_serves_bitwise_identically() {
     let v1 = RankingArtifact::snapshot(&model, &kernel);
     let v2 = v1.refresh_from(&m);
     let reqs = requests(&data, 6);
-    let want = Ranker::new(v1, serve_cfg(CacheMode::PerWorker)).rank_batch(&reqs);
-    let got = Ranker::new(v2, serve_cfg(CacheMode::PerWorker)).rank_batch(&reqs);
+    let want = Ranker::new(v1, serve_cfg()).rank_batch(&reqs);
+    let got = Ranker::new(v2, serve_cfg()).rank_batch(&reqs);
     for (g, w) in got.iter().zip(&want) {
         assert_same(g, w, "empty-delta refresh");
     }

@@ -14,8 +14,8 @@ use lkp_dpp::LowRankKernel;
 use lkp_models::{MatrixFactorization, Recommender};
 use lkp_nn::AdamConfig;
 use lkp_serve::{
-    CacheMode, FrontendConfig, ManualClock, RankOutcome, RankRequest, RankResponse, Ranker,
-    RankingArtifact, ServeConfig, ServeFrontend, SubmitError,
+    FrontendConfig, ManualClock, RankOutcome, RankRequest, RankResponse, Ranker, RankingArtifact,
+    ServeConfig, ServeFrontend, SubmitError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -583,8 +583,8 @@ fn response_ttl_sweeps_unclaimed_responses() {
     assert_eq!(stats.discarded, 0, "TTL sweeps are not discards");
 }
 
-/// Tentpole pillar 4: hot artifact swap under traffic, in both cache modes.
-/// Pre-swap responses are bitwise generation 1's artifact, post-swap
+/// Hot artifact swap under traffic: pre-swap responses are bitwise
+/// generation 1's artifact, post-swap
 /// responses bitwise generation 2's; the prewarmed plan makes the first
 /// post-swap batch hit the cache with zero assembly misses; retired
 /// old-generation entries are reported.
@@ -608,72 +608,67 @@ fn swap_under_traffic_is_bitwise_per_generation() {
         .map(|r| (r.user, r.candidates.clone()))
         .collect();
 
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        let config = ServeConfig {
-            threads: 2,
-            cache_mode,
+    let config = ServeConfig {
+        threads: 2,
+        ..Default::default()
+    };
+    let mut ranker_a = Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone());
+    let want_a = ranker_a.rank_batch(&reqs);
+    let mut ranker_b = Ranker::new(RankingArtifact::snapshot(&model_b, &kernel), config.clone());
+    let want_b = ranker_b.rank_batch(&reqs);
+
+    let clock = ManualClock::new();
+    let mut frontend = ServeFrontend::with_clock(
+        Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone()),
+        FrontendConfig {
+            max_batch: reqs.len(),
             ..Default::default()
-        };
-        let mut ranker_a =
-            Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone());
-        let want_a = ranker_a.rank_batch(&reqs);
-        let mut ranker_b =
-            Ranker::new(RankingArtifact::snapshot(&model_b, &kernel), config.clone());
-        let want_b = ranker_b.rank_batch(&reqs);
+        },
+        Box::new(clock.clone()),
+    );
+    assert_eq!(frontend.generation(), 1);
 
-        let clock = ManualClock::new();
-        let mut frontend = ServeFrontend::with_clock(
-            Ranker::new(RankingArtifact::snapshot(&model_a, &kernel), config.clone()),
-            FrontendConfig {
-                max_batch: reqs.len(),
-                ..Default::default()
-            },
-            Box::new(clock.clone()),
-        );
-        assert_eq!(frontend.generation(), 1);
+    // Generation 1 traffic (also populates the old cache, so the swap
+    // has entries to retire).
+    let tickets: Vec<_> = reqs
+        .iter()
+        .map(|r| frontend.try_submit(r.clone()).unwrap())
+        .collect();
+    frontend.flush();
+    for (ticket, want) in tickets.iter().zip(want_a.iter()) {
+        let resp = frontend.try_take(*ticket).expect("gen-1 ticket");
+        assert_eq!(resp.generation, 1);
+        assert_same(&resp, want, "gen 1");
+    }
 
-        // Generation 1 traffic (also populates the old cache, so the swap
-        // has entries to retire).
-        let tickets: Vec<_> = reqs
-            .iter()
-            .map(|r| frontend.try_submit(r.clone()).unwrap())
-            .collect();
-        frontend.flush();
-        for (ticket, want) in tickets.iter().zip(want_a.iter()) {
-            let resp = frontend.try_take(*ticket).expect("gen-1 ticket");
-            assert_eq!(resp.generation, 1, "{cache_mode:?}");
-            assert_same(&resp, want, &format!("{cache_mode:?} gen 1"));
-        }
+    // Queue traffic, then swap *between cuts*: the queued requests must
+    // serve on the new generation.
+    let queued: Vec<_> = reqs
+        .iter()
+        .map(|r| frontend.try_submit(r.clone()).unwrap())
+        .collect();
+    let report = frontend.swap_artifact(RankingArtifact::snapshot(&model_b, &kernel), &plan);
+    assert_eq!(report.generation, 2);
+    assert_eq!(report.warmed, plan.len(), "plan fully warm");
+    assert!(report.retired > 0, "old entries retired");
+    assert_eq!(frontend.generation(), 2);
+    assert_eq!(frontend.stats().swaps, 1);
+    assert_eq!(frontend.swap_log().len(), 1);
+    assert_eq!(frontend.swap_log()[0].report, report);
 
-        // Queue traffic, then swap *between cuts*: the queued requests must
-        // serve on the new generation.
-        let queued: Vec<_> = reqs
-            .iter()
-            .map(|r| frontend.try_submit(r.clone()).unwrap())
-            .collect();
-        let report = frontend.swap_artifact(RankingArtifact::snapshot(&model_b, &kernel), &plan);
-        assert_eq!(report.generation, 2, "{cache_mode:?}");
-        assert_eq!(report.warmed, plan.len(), "{cache_mode:?}: plan fully warm");
-        assert!(report.retired > 0, "{cache_mode:?}: old entries retired");
-        assert_eq!(frontend.generation(), 2);
-        assert_eq!(frontend.stats().swaps, 1);
-        assert_eq!(frontend.swap_log().len(), 1);
-        assert_eq!(frontend.swap_log()[0].report, report);
-
-        let (_, misses_before) = frontend.ranker().cache_stats();
-        frontend.flush();
-        let (_, misses_after) = frontend.ranker().cache_stats();
-        assert_eq!(
-            misses_after - misses_before,
-            0,
-            "{cache_mode:?}: prewarmed post-swap batch must not miss"
-        );
-        for (ticket, want) in queued.iter().zip(want_b.iter()) {
-            let resp = frontend.try_take(*ticket).expect("gen-2 ticket");
-            assert_eq!(resp.generation, 2, "{cache_mode:?}");
-            assert!(resp.cache_hit, "{cache_mode:?}: prewarmed hit");
-            assert_same(&resp, want, &format!("{cache_mode:?} gen 2"));
-        }
+    let (_, misses_before) = frontend.ranker().cache_stats();
+    frontend.flush();
+    let (_, misses_after) = frontend.ranker().cache_stats();
+    assert_eq!(
+        misses_after - misses_before,
+        0,
+        "prewarmed post-swap batch must not miss"
+    );
+    for (ticket, want) in queued.iter().zip(want_b.iter()) {
+        let resp = frontend.try_take(*ticket).expect("gen-2 ticket");
+        assert_eq!(resp.generation, 2);
+        assert!(resp.cache_hit, "prewarmed hit");
+        assert_same(&resp, want, "gen 2");
     }
 }
 

@@ -8,9 +8,7 @@ use lkp_data::{Dataset, SyntheticConfig};
 use lkp_dpp::{map, DppKernel, LowRankKernel};
 use lkp_models::{MatrixFactorization, Recommender};
 use lkp_nn::AdamConfig;
-use lkp_serve::{
-    CacheMode, KernelForm, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig,
-};
+use lkp_serve::{KernelForm, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -142,7 +140,7 @@ fn served_lists_match_offline_greedy_map() {
             })
         })
         .collect();
-    let dual = KernelForm::LowRankDual { min_candidates: 0 };
+    let dual = KernelForm::LowRankDual;
     let guard = lkp_dpp::DUAL_BREAKDOWN_GUARD;
     let cases = [
         ("dense", KernelForm::Dense, guard, 0),
@@ -417,7 +415,7 @@ fn heavily_duplicated_candidates_keep_first_occurrence_order() {
 fn mixed_rank_one_and_batch_traffic_is_equivalent() {
     // rank_one must serve the same lists as the batch path, and the
     // caller-worker cache state it leaves behind must not change any
-    // subsequent batched list — at widths 1/2/4, in both cache modes.
+    // subsequent batched list — at widths 1/2/4.
     let data = data();
     let (model, kernel) = trained(&data);
     let reqs = requests(&data, 6);
@@ -430,44 +428,41 @@ fn mixed_rank_one_and_batch_traffic_is_equivalent() {
         },
     );
     let want = reference.rank_batch(&reqs);
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        for threads in [1usize, 2, 4] {
-            let mut ranker = Ranker::new(
-                RankingArtifact::snapshot(&model, &kernel),
-                ServeConfig {
-                    threads,
-                    cache_mode,
-                    ..Default::default()
-                },
+    for threads in [1usize, 2, 4] {
+        let mut ranker = Ranker::new(
+            RankingArtifact::snapshot(&model, &kernel),
+            ServeConfig {
+                threads,
+                ..Default::default()
+            },
+        );
+        // Interleave: a few rank_one calls (warming the caller worker's
+        // cache for users that batches will later route to *other*
+        // workers), then a batch, then more singles, then a batch.
+        for req in reqs.iter().take(5) {
+            let got = ranker.rank_one(req);
+            let reference = &want[reqs.iter().position(|r| r.user == req.user).unwrap()];
+            assert_eq!(
+                got.items, reference.items,
+                "threads {threads}: rank_one diverged"
             );
-            // Interleave: a few rank_one calls (warming the caller worker's
-            // cache for users that batches will later route to *other*
-            // workers), then a batch, then more singles, then a batch.
-            for req in reqs.iter().take(5) {
-                let got = ranker.rank_one(req);
-                let reference = &want[reqs.iter().position(|r| r.user == req.user).unwrap()];
+            assert_eq!(got.log_det.to_bits(), reference.log_det.to_bits());
+        }
+        for pass in 0..2 {
+            let batch = ranker.rank_batch(&reqs);
+            for (got, reference) in batch.iter().zip(&want) {
                 assert_eq!(
                     got.items, reference.items,
-                    "mode {cache_mode:?} threads {threads}: rank_one diverged"
+                    "threads {threads} pass {pass}: batch diverged"
                 );
                 assert_eq!(got.log_det.to_bits(), reference.log_det.to_bits());
             }
-            for pass in 0..2 {
-                let batch = ranker.rank_batch(&reqs);
-                for (got, reference) in batch.iter().zip(&want) {
-                    assert_eq!(
-                        got.items, reference.items,
-                        "mode {cache_mode:?} threads {threads} pass {pass}: batch diverged"
-                    );
-                    assert_eq!(got.log_det.to_bits(), reference.log_det.to_bits());
-                }
-                // More singles between the batches.
-                for req in reqs.iter().skip(10).take(4) {
-                    let got = ranker.rank_one(req);
-                    let reference = &want[reqs.iter().position(|r| r.user == req.user).unwrap()];
-                    assert_eq!(got.items, reference.items);
-                    assert_eq!(got.log_det.to_bits(), reference.log_det.to_bits());
-                }
+            // More singles between the batches.
+            for req in reqs.iter().skip(10).take(4) {
+                let got = ranker.rank_one(req);
+                let reference = &want[reqs.iter().position(|r| r.user == req.user).unwrap()];
+                assert_eq!(got.items, reference.items);
+                assert_eq!(got.log_det.to_bits(), reference.log_det.to_bits());
             }
         }
     }
@@ -491,11 +486,11 @@ fn stats_reads_never_materialize_workspaces() {
     assert_eq!(ranker.cache_stats(), (0, 0));
     assert_eq!(ranker.cache_bypasses(), 0);
     let detailed = ranker.cache_stats_detailed();
-    assert_eq!(detailed.per_shard.len(), 4, "one zero row per worker");
+    assert_eq!(detailed.per_worker.len(), 4, "one zero row per worker");
     assert!(detailed
-        .per_shard
+        .per_worker
         .iter()
-        .all(|s| *s == lkp_serve::ShardStats::default()));
+        .all(|s| *s == lkp_serve::WorkerCacheStats::default()));
     assert_eq!(
         ranker.resident_workspaces(),
         0,
@@ -508,64 +503,6 @@ fn stats_reads_never_materialize_workspaces() {
     assert!(resident > 0);
     ranker.cache_stats();
     assert_eq!(ranker.resident_workspaces(), resident);
-}
-
-#[test]
-fn sharded_cache_beats_per_worker_on_shuffled_replays() {
-    // The same users replayed at different batch positions land on
-    // different workers; per-worker caches re-miss once per worker, the
-    // shared cache hits from any worker.
-    let data = data();
-    let (model, kernel) = trained(&data);
-    let reqs = requests(&data, 5);
-    let mut shuffled: Vec<RankRequest> = reqs.iter().rev().cloned().collect();
-    shuffled.rotate_left(7);
-    let mut rates = Vec::new();
-    for cache_mode in [CacheMode::PerWorker, CacheMode::Sharded { shards: 4 }] {
-        let mut ranker = Ranker::new(
-            RankingArtifact::snapshot(&model, &kernel),
-            ServeConfig {
-                threads: 4,
-                cache_mode,
-                ..Default::default()
-            },
-        );
-        let first = ranker.rank_batch(&reqs);
-        let second = ranker.rank_batch(&shuffled);
-        // Both orders serve the same per-user lists.
-        for resp in &second {
-            let want = first.iter().find(|r| r.user == resp.user).unwrap();
-            assert_eq!(resp.items, want.items, "mode {cache_mode:?}");
-            assert_eq!(resp.log_det.to_bits(), want.log_det.to_bits());
-        }
-        let stats = ranker.cache_stats_detailed();
-        assert_eq!(
-            stats.aggregate.hits + stats.aggregate.misses,
-            2 * reqs.len() as u64
-        );
-        rates.push(stats.hit_rate());
-    }
-    assert!(
-        rates[1] > rates[0],
-        "sharded hit rate {} must beat per-worker {} on the shuffled replay",
-        rates[1],
-        rates[0]
-    );
-    // Sharded: every distinct pair misses exactly once, process-wide.
-    let (_, sharded_misses) = {
-        let mut ranker = Ranker::new(
-            RankingArtifact::snapshot(&model, &kernel),
-            ServeConfig {
-                threads: 4,
-                cache_mode: CacheMode::Sharded { shards: 4 },
-                ..Default::default()
-            },
-        );
-        ranker.rank_batch(&reqs);
-        ranker.rank_batch(&shuffled);
-        ranker.cache_stats()
-    };
-    assert_eq!(sharded_misses as usize, reqs.len());
 }
 
 #[test]

@@ -18,7 +18,6 @@
 //!    order.
 
 use lkp::prelude::*;
-use lkp::serve::CacheMode;
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -91,7 +90,6 @@ fn main() {
     // Per-generation reference lists from direct batches.
     let serve_config = ServeConfig {
         threads: 2,
-        cache_mode: CacheMode::Sharded { shards: 4 },
         ..Default::default()
     };
     let want_v1 = Ranker::new(artifact_v1.clone(), serve_config.clone()).rank_batch(&stream);

@@ -12,14 +12,12 @@
 //!    list as the dense path for every request;
 //! 2. **speed** — cold (cache disabled), the dual path is at least 2×
 //!    faster per request (a CI-safe margin below the measured gap);
-//! 3. **hybrid routing under the driver** — with
-//!    `min_candidates` between the degraded rerank head and the full pool,
-//!    full requests ride the dual path while head-capped requests stay
-//!    dense, and every response served through the [`FrontendDriver`] is
-//!    bitwise identical to a direct batch in the same configuration.
+//! 3. **dual under the driver** — full-pool and head-capped (degraded)
+//!    requests both ride the dual path, and every response served through
+//!    the [`FrontendDriver`] is bitwise identical to a direct batch in the
+//!    same configuration.
 
 use lkp::prelude::*;
-use lkp::serve::CacheMode;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
@@ -88,10 +86,7 @@ fn main() {
         ..Default::default()
     };
     let mut dense = Ranker::new(artifact.clone(), cold(KernelForm::Dense));
-    let mut dual = Ranker::new(
-        artifact.clone(),
-        cold(KernelForm::LowRankDual { min_candidates: 0 }),
-    );
+    let mut dual = Ranker::new(artifact.clone(), cold(KernelForm::LowRankDual));
     let mut dense_out = Vec::new();
     let mut dual_out = Vec::new();
     dense.rank_batch_into(&reqs, &mut dense_out); // warm buffers, not caches
@@ -121,17 +116,14 @@ fn main() {
     );
     assert_eq!(dual.dual_fallbacks(), 0, "no breakdowns on this workload");
 
-    // ---- 3: hybrid routing under the production driver ----
-    // min_candidates = 256 splits the traffic: full 1600-candidate requests
-    // go dual; head-capped (rerank_head = 64) requests rerank a 64-item
-    // head and stay dense. Both shapes flow through one driver and must be
-    // bitwise identical to a direct batch in the same configuration.
-    let hybrid = ServeConfig {
+    // ---- 3: the dual path under the production driver ----
+    // Full 1600-candidate requests and head-capped (rerank_head = 64)
+    // requests, which rerank a 64-item head, flow through one driver; both
+    // run dual and must be bitwise identical to a direct batch in the same
+    // configuration.
+    let dual_config = ServeConfig {
         threads: 2,
-        cache_mode: CacheMode::Sharded { shards: 4 },
-        kernel_form: KernelForm::LowRankDual {
-            min_candidates: 256,
-        },
+        kernel_form: KernelForm::LowRankDual,
         ..Default::default()
     };
     let mixed: Vec<RankRequest> = reqs
@@ -145,10 +137,10 @@ fn main() {
             }
         })
         .collect();
-    let want = Ranker::new(artifact.clone(), hybrid.clone()).rank_batch(&mixed);
+    let want = Ranker::new(artifact.clone(), dual_config.clone()).rank_batch(&mixed);
 
     let frontend = ServeFrontend::new(
-        Ranker::new(artifact, hybrid),
+        Ranker::new(artifact, dual_config),
         FrontendConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(1),
@@ -182,10 +174,10 @@ fn main() {
     assert_eq!(
         frontend.ranker().dual_fallbacks(),
         0,
-        "hybrid run finished without breakdowns"
+        "driver run finished without breakdowns"
     );
     println!(
-        "hybrid driver run: {} responses bitwise-verified ({} dual full-pool, {} dense head-capped) ✓",
+        "dual driver run: {} responses bitwise-verified ({} full-pool, {} head-capped) ✓",
         mixed.len(),
         mixed.len() - degraded,
         degraded

@@ -21,7 +21,6 @@
 //!    a kernel block.
 
 use lkp::prelude::*;
-use lkp::serve::CacheMode;
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -138,7 +137,6 @@ fn main() {
 
     let serve_config = ServeConfig {
         threads: 2,
-        cache_mode: CacheMode::Sharded { shards: 4 },
         ..Default::default()
     };
     let want_v1 = Ranker::new(artifact_v1.clone(), serve_config.clone()).rank_batch(&stream);

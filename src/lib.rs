@@ -94,9 +94,8 @@ pub mod prelude {
     pub use lkp_nn::AdamConfig;
     pub use lkp_runtime::WorkerPool;
     pub use lkp_serve::{
-        CacheMode, DriverClient, FrontendConfig, FrontendDriver, KernelForm, RankOutcome,
-        RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig, ServeFrontend,
-        SubmitError,
+        DriverClient, FrontendConfig, FrontendDriver, KernelForm, RankOutcome, RankRequest,
+        RankResponse, Ranker, RankingArtifact, ServeConfig, ServeFrontend, SubmitError,
     };
 
     /// Convenience: generate a synthetic dataset from its config in one call.
