@@ -477,7 +477,8 @@ pub fn lkp_core_apply_for_tests(
         KERNEL_JITTER,
         SCORE_CLAMP,
     )?;
-    Some((result.loss, ws.dscores().to_vec(), ws.grad_l().clone()))
+    let g_l = ws.grad_l().clone();
+    Some((result.loss, ws.dscores().to_vec(), g_l))
 }
 
 #[cfg(test)]

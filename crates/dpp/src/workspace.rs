@@ -31,6 +31,7 @@
 use crate::batch::{BatchSlot, SlotState};
 use crate::esp::{self, LeaveOneOutScratch};
 use lkp_linalg::{cholesky, eigen::EigenScratch, Matrix, SymmetricEigen};
+use std::cell::{Cell, Ref, RefCell};
 
 /// Relative threshold below which dual eigenvalues are folded into the flat
 /// `ε` eigenspace (they carry no probability mass at `f64` precision).
@@ -72,15 +73,35 @@ pub struct DppWorkspace {
     // --- determinant gradients ---
     sub: Matrix,
     chol: Matrix,
-    inv: Matrix,
+    /// `(L_{S⁺})⁻¹` of the target block, kept for [`DppWorkspace::grad_l`].
+    inv_pos: Matrix,
+    /// `(L_{S⁻})⁻¹` of the exclusion block (negative-aware only).
+    inv_neg: Matrix,
     col: Vec<f64>,
     /// Whether `chol` holds a valid factor of the last `sub` (vs. the LU
     /// fallback having run).
     chol_valid: bool,
     // --- outputs ---
-    g_loss: Matrix,
-    gz: Matrix,
+    /// How the last successful call's `∂loss/∂L` splits into its terms.
+    tail: TailWeights,
+    /// Per-item subset terms `(G_S·(L − εI))_ii` of the score gradient.
+    subset_diag: Vec<f64>,
     dscores: Vec<f64>,
+    /// `∂loss/∂L`, assembled from `tail` on the first [`DppWorkspace::grad_l`]
+    /// read after a call (the score gradient never needs it).
+    g_loss: RefCell<Matrix>,
+    g_loss_stale: Cell<bool>,
+}
+
+/// The last call's kernel gradient in factored form:
+/// `∂loss/∂L = normalizer·∇log Z_k + pos·scatter(inv⁺) + neg·scatter(inv⁻)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct TailWeights {
+    path: SpectrumPath,
+    k: usize,
+    normalizer: f64,
+    pos: f64,
+    neg: f64,
 }
 
 /// How the workspace computed the spectrum of the last instance.
@@ -216,8 +237,15 @@ impl DppWorkspace {
             self.loo.clear();
         }
 
-        // ∇_L log Z_k, shared by the inclusion and exclusion terms.
-        self.normalizer_grad(path, m);
+        // The score gradient is ∂loss/∂ŷ_i = 2·(G·(L − εI))_ii for
+        // G = ∂loss/∂L, because L_ij = q_i·K_ij·q_j + ε·δ_ij and ∂q_i/∂ŷ_i
+        // = q_i. G is a weighted sum of ∇log Z_k and scattered subset
+        // inverses, so each term's diagonal is read on its own in O(m²)
+        // and the m × m G is never formed here. The normalizer term goes
+        // to `dscores`, the subset terms to `subset_diag`.
+        self.normalizer_diag(path, k_sub, jitter);
+        self.subset_diag.clear();
+        self.subset_diag.resize(m, 0.0);
 
         // Inclusion term: loss = −log P(S⁺) = log Z_k − log det(L_{S⁺});
         // ∂loss/∂L = ∇log Z_k − scatter((L_{S⁺})⁻¹).
@@ -227,8 +255,9 @@ impl DppWorkspace {
             return None;
         }
         let mut loss = -log_p_pos;
-        self.g_loss.copy_from(&self.gz);
-        self.scatter_subset_inverse(0..k, -1.0);
+        let mut normalizer = 1.0;
+        let pos = self.subset_term(k_sub, 0..k, -1.0);
+        let mut neg = 0.0;
 
         if negative_aware {
             // Exclusion of the all-negative subset S⁻ = {k..2k} (Eq. 10):
@@ -239,25 +268,24 @@ impl DppWorkspace {
             let p_neg = log_p_neg.exp().clamp(0.0, 1.0 - 1e-9);
             loss += -(1.0 - p_neg).ln();
             let w = p_neg / (1.0 - p_neg);
-            self.g_loss.add_scaled(-w, &self.gz).expect("same shape");
-            self.scatter_subset_inverse(k..m, w);
+            normalizer -= w;
+            neg = self.subset_term(k_sub, k..m, w);
         }
 
-        // Chain into scores through L_ij = q_i·K_ij·q_j + ε·δ_ij:
-        // ∂loss/∂q_i = 2·Σ_j G_ij·K_ij·q_j, then ∂loss/∂s_i = ∂loss/∂q_i·q_i.
-        self.dscores.clear();
-        for i in 0..m {
-            let g_row = self.g_loss.row(i);
-            let k_row = k_sub.row(i);
-            let mut acc = 0.0;
-            for ((&g, &kij), &qj) in g_row.iter().zip(k_row).zip(&self.q) {
-                acc += g * kij * qj;
-            }
-            self.dscores.push(2.0 * acc * self.q[i]);
+        for (d, &s) in self.dscores.iter_mut().zip(&self.subset_diag) {
+            *d = 2.0 * (normalizer * *d + s);
         }
         if !loss.is_finite() || self.dscores.iter().any(|d| !d.is_finite()) {
             return None;
         }
+        self.tail = TailWeights {
+            path,
+            k,
+            normalizer,
+            pos,
+            neg,
+        };
+        self.g_loss_stale.set(true);
         Some(TailoredResult { loss, path })
     }
 
@@ -394,8 +422,56 @@ impl DppWorkspace {
 
     /// Kernel gradient `∂loss/∂L` of the last successful call (used by the
     /// E-type objective to chain into embeddings).
-    pub fn grad_l(&self) -> &Matrix {
-        &self.g_loss
+    ///
+    /// The `m × m` matrix is assembled here, on the first read after a
+    /// call, from the saved eigenbasis, leave-one-out weights and subset
+    /// inverses; objectives that only need [`DppWorkspace::dscores`] never
+    /// pay for it.
+    pub fn grad_l(&self) -> Ref<'_, Matrix> {
+        if self.g_loss_stale.replace(false) {
+            self.assemble_grad_l(&mut self.g_loss.borrow_mut());
+        }
+        self.g_loss.borrow()
+    }
+
+    /// Writes `∂loss/∂L` of the last successful call into `g` (see
+    /// [`TailWeights`]).
+    fn assemble_grad_l(&self, g: &mut Matrix) {
+        let m = self.q.len();
+        let TailWeights {
+            path,
+            k,
+            normalizer,
+            pos,
+            neg,
+        } = self.tail;
+        g.reset(m, m);
+        if !self.loo.is_empty() {
+            // ∇log Z_k = Σ_t w_t·u_t·u_tᵀ over the eigenbasis of the path.
+            match path {
+                SpectrumPath::Dense => {
+                    for (t, &w) in self.loo.iter().enumerate() {
+                        add_outer_column(g, normalizer * w, &self.eigen.vectors, t);
+                    }
+                }
+                SpectrumPath::Dual => {
+                    // w0·I + Σ_j (w_j − w0)·v̂_j·v̂_jᵀ: the flat ε eigenspace
+                    // shares one weight, so its eigenvectors never
+                    // materialize (see `normalizer_diag`).
+                    let r = self.item_vectors.cols();
+                    let w0 = if r < m { self.loo[r] } else { 0.0 };
+                    for i in 0..m {
+                        g[(i, i)] = normalizer * w0;
+                    }
+                    for j in 0..r {
+                        let wj = normalizer * (self.loo[j] - w0);
+                        add_outer_column(g, wj, &self.item_vectors, j);
+                    }
+                }
+            }
+        }
+        scatter_block(g, &self.inv_pos, 0..k, pos);
+        scatter_block(g, &self.inv_neg, k..m, neg);
     }
 
     /// Quality vector `q = exp(clamp(ŷ))` of the last successful call.
@@ -480,49 +556,54 @@ impl DppWorkspace {
         }
     }
 
-    /// Builds `gz = ∇_L log Z_k = Σ_i w_i·u_i·u_iᵀ` from the loo weights and
-    /// whichever eigenbasis the spectrum path produced.
-    fn normalizer_grad(&mut self, path: SpectrumPath, m: usize) {
+    /// Fills `dscores` with the normalizer's diagonal
+    /// `N_i = (∇log Z_k·(L − εI))_ii = Σ_t w_t·(λ_t − ε)·U_it²` from the loo
+    /// weights and whichever eigenbasis the spectrum path produced.
+    fn normalizer_diag(&mut self, path: SpectrumPath, k_sub: &Matrix, jitter: f64) {
+        let m = self.q.len();
+        self.dscores.clear();
         if self.loo.is_empty() {
-            self.gz.reset(m, m);
+            self.dscores.resize(m, 0.0);
             return;
         }
-        // Both branches accumulate rank-1 terms `w·u·uᵀ`. Eigenvectors are
-        // stored column-major inside a row-major matrix, so each column is
-        // first copied into the contiguous `col` scratch — the inner update
-        // then runs over two contiguous slices and auto-vectorizes.
-        let gz = &mut self.gz;
+        // `col` holds the per-eigenvector coefficients; eigenvectors are the
+        // columns of a row-major matrix, so item i's row is contiguous and
+        // each N_i is one dot product.
         let col = &mut self.col;
-        gz.reset(m, m);
+        col.clear();
         match path {
             SpectrumPath::Dense => {
-                for (idx, &w) in self.loo.iter().enumerate() {
-                    if w == 0.0 {
-                        continue;
-                    }
-                    col.clear();
-                    col.extend((0..m).map(|r| self.eigen.vectors[(r, idx)]));
-                    rank_one_update(gz, w, col);
+                // The solver's raw eigenvalues, not the PSD-clamped
+                // `lambda`: L − εI = U·diag(λ − ε)·Uᵀ holds for the raw ones.
+                col.extend(
+                    self.loo
+                        .iter()
+                        .zip(&self.eigen.values)
+                        .map(|(&w, &l)| w * (l - jitter)),
+                );
+                for i in 0..m {
+                    let u = self.eigen.vectors.row(i);
+                    self.dscores.push(weighted_square_sum(col, u));
                 }
             }
             SpectrumPath::Dual => {
-                // gz = w0·I + Σ_j (w_j − w0)·v̂_j·v̂_jᵀ, where w0 is the
-                // shared weight of the flat ε eigenspace: its eigenvectors
-                // never materialize — the identity-minus-projector form
-                // absorbs them exactly because their loo weights coincide.
+                // ∇log Z_k = w0·I + Σ_j (w_j − w0)·v̂_j·v̂_jᵀ, where w0 is the
+                // shared weight of the flat ε eigenspace and L − εI = BBᵀ
+                // has v̂_j as eigenvectors with eigenvalues µ_j, so
+                // N_i = w0·(L − εI)_ii + Σ_j (w_j − w0)·µ_j·v̂_ij².
                 let r = self.item_vectors.cols();
                 let w0 = if r < m { self.loo[r] } else { 0.0 };
+                col.extend(
+                    self.retained_idx
+                        .iter()
+                        .zip(&self.loo)
+                        .map(|(&idx, &w)| (w - w0) * self.dual_eigen.values[idx]),
+                );
                 for i in 0..m {
-                    gz[(i, i)] = w0;
-                }
-                for j in 0..r {
-                    let wj = self.loo[j] - w0;
-                    if wj == 0.0 {
-                        continue;
-                    }
-                    col.clear();
-                    col.extend((0..m).map(|a| self.item_vectors[(a, j)]));
-                    rank_one_update(gz, wj, col);
+                    let qi = self.q[i];
+                    let flat = w0 * (qi * k_sub[(i, i)] * qi);
+                    let v = self.item_vectors.row(i);
+                    self.dscores.push(flat + weighted_square_sum(col, v));
                 }
             }
         }
@@ -567,32 +648,43 @@ impl DppWorkspace {
         }
     }
 
-    /// Adds `alpha · scatter((L_S)⁻¹)` into `g_loss` for the subset whose
-    /// submatrix [`DppWorkspace::subset_log_det`] just factorized.
+    /// Adds `alpha·(L_S⁻¹·(L_S − εI))_ii` to `subset_diag` for the subset
+    /// whose submatrix [`DppWorkspace::subset_log_det`] just factorized, and
+    /// keeps `L_S⁻¹` (in `inv_pos` for the target block at `0..k`, else in
+    /// `inv_neg`) for [`DppWorkspace::grad_l`]. Returns the weight the term
+    /// entered with: `alpha`, or 0 when it was skipped.
     ///
     /// Must be called immediately after a successful `subset_log_det` for the
     /// same range: it reuses the Cholesky factor still held in `self.chol`.
-    fn scatter_subset_inverse(&mut self, range: std::ops::Range<usize>, alpha: f64) {
+    fn subset_term(&mut self, k_sub: &Matrix, range: std::ops::Range<usize>, alpha: f64) -> f64 {
         if alpha == 0.0 {
             // Zero-weight term (e.g. an exclusion subset with P(S⁻) = 0):
             // skip rather than risk 0·∞ from a numerically singular inverse.
-            return;
+            return 0.0;
         }
+        let inv = if range.start == 0 {
+            &mut self.inv_pos
+        } else {
+            &mut self.inv_neg
+        };
         if self.chol_valid {
-            cholesky::inverse_from_factor(&self.chol, &mut self.inv, &mut self.col);
+            cholesky::inverse_from_factor(&self.chol, inv, &mut self.col);
         } else {
             // LU fallback path: cold-path inverse of the saved submatrix.
-            if let Ok(inv) = lkp_linalg::lu::inverse(&self.sub) {
-                self.inv.copy_from(&inv);
-            } else {
-                return;
+            match lkp_linalg::lu::inverse(&self.sub) {
+                Ok(lu_inv) => inv.copy_from(&lu_inv),
+                Err(_) => return 0.0,
             }
         }
         for (a, i) in range.clone().enumerate() {
+            let qi = self.q[i];
+            let mut acc = 0.0;
             for (b, j) in range.clone().enumerate() {
-                self.g_loss[(i, j)] += alpha * self.inv[(a, b)];
+                acc += inv[(a, b)] * (qi * k_sub[(i, j)] * self.q[j]);
             }
+            self.subset_diag[i] += alpha * acc;
         }
+        alpha
     }
 }
 
@@ -640,13 +732,32 @@ fn assemble_b_into(q: &[f64], v_t: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// `out += w · u·uᵀ` from a contiguous vector — branch-free inner axpy.
-fn rank_one_update(out: &mut Matrix, w: f64, u: &[f64]) {
-    for (r, &ur) in u.iter().enumerate() {
-        let coeff = w * ur;
-        let row = out.row_mut(r);
-        for (slot, &uc) in row.iter_mut().zip(u) {
-            *slot += coeff * uc;
+/// `Σ_t c_t·u_t²` — one row of `U·diag(c)·Uᵀ`'s diagonal.
+fn weighted_square_sum(c: &[f64], u: &[f64]) -> f64 {
+    c.iter().zip(u).map(|(&ct, &ut)| ct * ut * ut).sum()
+}
+
+/// `out += w · v·vᵀ` for column `col` of `vectors`.
+fn add_outer_column(out: &mut Matrix, w: f64, vectors: &Matrix, col: usize) {
+    if w == 0.0 {
+        return;
+    }
+    for r in 0..out.rows() {
+        let coeff = w * vectors[(r, col)];
+        for c in 0..out.cols() {
+            out[(r, c)] += coeff * vectors[(c, col)];
+        }
+    }
+}
+
+/// `out[range, range] += alpha · block`.
+fn scatter_block(out: &mut Matrix, block: &Matrix, range: std::ops::Range<usize>, alpha: f64) {
+    if alpha == 0.0 {
+        return;
+    }
+    for (a, i) in range.clone().enumerate() {
+        for (b, j) in range.clone().enumerate() {
+            out[(i, j)] += alpha * block[(a, b)];
         }
     }
 }
@@ -729,6 +840,219 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "grad {a} vs {b}");
             }
         }
+    }
+
+    /// The score-gradient tail as it was before the diagonal form, kept as
+    /// an oracle: `gz = ∇log Z_k` from m rank-one updates over the
+    /// eigenbasis the workspace left behind, `g_loss = gz − scatter(inv⁺)`
+    /// (plus `−w·gz + w·scatter(inv⁻)` when negative-aware), then the chain
+    /// `∂loss/∂ŷ_i = 2·q_i·Σ_j G_ij·K_ij·q_j`. Subset inverses (as the old
+    /// tail made them), `log Z_k` and `P(S⁻)` are recomputed here.
+    fn oracle_tail(
+        ws: &DppWorkspace,
+        k_sub: &Matrix,
+        k: usize,
+        negative_aware: bool,
+        jitter: f64,
+        path: SpectrumPath,
+    ) -> (Vec<(f64, f64)>, Matrix) {
+        let m = ws.q.len();
+        let q = &ws.q;
+        let mut gz = Matrix::zeros(m, m);
+        match path {
+            SpectrumPath::Dense => {
+                for (t, &w) in ws.loo.iter().enumerate() {
+                    let col = ws.eigen.vectors.col(t);
+                    rank_one(&mut gz, w, &col);
+                }
+            }
+            SpectrumPath::Dual => {
+                let r = ws.item_vectors.cols();
+                let w0 = if r < m { ws.loo[r] } else { 0.0 };
+                for i in 0..m {
+                    gz[(i, i)] = w0;
+                }
+                for j in 0..r {
+                    let col = ws.item_vectors.col(j);
+                    rank_one(&mut gz, ws.loo[j] - w0, &col);
+                }
+            }
+        }
+        let block = |range: std::ops::Range<usize>| {
+            Matrix::from_fn(range.len(), range.len(), |a, b| {
+                let (i, j) = (range.start + a, range.start + b);
+                q[i] * k_sub[(i, j)] * q[j] + if a == b { jitter } else { 0.0 }
+            })
+        };
+        let scatter = |g: &mut Matrix, range: std::ops::Range<usize>, alpha: f64| {
+            // The old tail's inverse: from the Cholesky factor, LU when
+            // Cholesky refuses.
+            let sub = block(range.clone());
+            let mut inv = Matrix::zeros(0, 0);
+            let mut chol = Matrix::zeros(0, 0);
+            match cholesky::factor_into(&sub, &mut chol) {
+                Ok(()) => cholesky::inverse_from_factor(&chol, &mut inv, &mut Vec::new()),
+                Err(_) => inv = lkp_linalg::lu::inverse(&sub).unwrap(),
+            }
+            for a in 0..range.len() {
+                for b in 0..range.len() {
+                    g[(range.start + a, range.start + b)] += alpha * inv[(a, b)];
+                }
+            }
+        };
+        let mut g_loss = gz.clone();
+        scatter(&mut g_loss, 0..k, -1.0);
+        if negative_aware {
+            let log_z = crate::esp::elementary_symmetric(&ws.lambda, k).ln();
+            let (_, log_det) = lkp_linalg::Lu::new(&block(k..m)).unwrap().sign_log_det();
+            let p_neg = (log_det - log_z).exp().clamp(0.0, 1.0 - 1e-9);
+            let w = p_neg / (1.0 - p_neg);
+            g_loss.add_scaled(-w, &gz).unwrap();
+            scatter(&mut g_loss, k..m, w);
+        }
+        // Each entry also gets the magnitude of the terms its chain sum
+        // adds up, `2·q_i·Σ_j |G_ij·K_ij·q_j|`: with a near-singular subset
+        // (rank-deficient K, so L_S⁻¹ ~ 1/ε) the terms reach ~1e6 while
+        // the sum is O(1), and any two summation orders differ by rounding
+        // relative to the terms, not to the sum.
+        let chain = |i: usize, f: fn(f64) -> f64| -> f64 {
+            let acc: f64 = (0..m)
+                .map(|j| f(g_loss[(i, j)] * k_sub[(i, j)] * q[j]))
+                .sum();
+            2.0 * acc * q[i]
+        };
+        let dscores = (0..m)
+            .map(|i| (chain(i, |x| x), chain(i, f64::abs)))
+            .collect();
+        (dscores, g_loss)
+    }
+
+    fn rank_one(out: &mut Matrix, w: f64, u: &[f64]) {
+        for (r, &ur) in u.iter().enumerate() {
+            for (c, &uc) in u.iter().enumerate() {
+                out[(r, c)] += w * ur * uc;
+            }
+        }
+    }
+
+    /// Runs one instance and checks `dscores` and `grad_l` against
+    /// [`oracle_tail`]: each score gradient to 1e-10 relative to the
+    /// magnitude of its chain terms, `grad_l` to 1e-10 relative to the
+    /// oracle's largest entry.
+    fn assert_matches_oracle(
+        scores: &[f64],
+        k_sub: &Matrix,
+        factor: Option<&Matrix>,
+        k: usize,
+        negative_aware: bool,
+        want_path: SpectrumPath,
+    ) -> DppWorkspace {
+        let jitter = 1e-6;
+        let mut ws = DppWorkspace::new();
+        let res = ws
+            .tailored_loss_grad(scores, k_sub, factor, k, negative_aware, jitter, 30.0)
+            .expect("well-posed instance");
+        assert_eq!(res.path, want_path);
+        let (want_ds, want_g) = oracle_tail(&ws, k_sub, k, negative_aware, jitter, res.path);
+        let context = format!("{want_path:?} k={k} nps={negative_aware}");
+        for (i, (a, &(b, terms))) in ws.dscores().iter().zip(&want_ds).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-10 * terms,
+                "{context} dscores[{i}]: {a} vs oracle {b} (terms {terms:e})"
+            );
+        }
+        let g = ws.grad_l();
+        let g_err = g.max_abs_diff(&want_g);
+        assert!(
+            g_err <= 1e-10 * want_g.max_abs(),
+            "{context} grad_l off by {g_err:e}"
+        );
+        drop(g);
+        ws
+    }
+
+    #[test]
+    fn diagonal_tail_matches_the_rank_one_oracle_on_both_paths() {
+        let m = 10;
+        for d in [6, 8, 12, 4] {
+            let kernel = example_kernel(m, d);
+            let idx: Vec<usize> = (0..m).collect();
+            let k_sub = kernel.submatrix(&idx).unwrap();
+            let v_t = kernel.factor().gather_rows(&idx).unwrap();
+            let want_path = if d < m {
+                SpectrumPath::Dual
+            } else {
+                SpectrumPath::Dense
+            };
+            for shift in [0.0, 0.7, -1.3] {
+                let scores: Vec<f64> = example_scores(m).iter().map(|s| s + shift).collect();
+                for negative_aware in [false, true] {
+                    assert_matches_oracle(
+                        &scores,
+                        &k_sub,
+                        Some(&v_t),
+                        5,
+                        negative_aware,
+                        want_path,
+                    );
+                    // Without the factor the same instance takes the dense path.
+                    assert_matches_oracle(
+                        &scores,
+                        &k_sub,
+                        None,
+                        5,
+                        negative_aware,
+                        SpectrumPath::Dense,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_tail_matches_the_oracle_on_the_lu_fallback() {
+        // Both diagonal blocks of K are negative definite (−0.1·I), so
+        // Cholesky refuses both subsets and LU takes over, while the
+        // ±1 coupling leaves two positive eigenvalues for Z_2 > 0.
+        let k_sub = Matrix::from_rows(&[
+            &[-0.1, 0.02, 1.0, 0.0],
+            &[0.02, -0.1, 0.0, 1.0],
+            &[1.0, 0.0, -0.1, 0.03],
+            &[0.0, 1.0, 0.03, -0.1],
+        ]);
+        let scores = [0.2, -0.1, 0.3, 0.05];
+        for negative_aware in [false, true] {
+            let ws = assert_matches_oracle(
+                &scores,
+                &k_sub,
+                None,
+                2,
+                negative_aware,
+                SpectrumPath::Dense,
+            );
+            assert!(!ws.chol_valid, "nps={negative_aware}: LU fallback must run");
+        }
+    }
+
+    #[test]
+    fn grad_l_is_rebuilt_after_each_call() {
+        // A read between calls must not pin the first instance's gradient.
+        let m = 6;
+        let k_sub = example_kernel(m, 8).full_matrix();
+        let mut ws = DppWorkspace::new();
+        let first = example_scores(m);
+        ws.tailored_loss_grad(&first, &k_sub, None, 3, true, 1e-6, 30.0)
+            .unwrap();
+        let g_first = ws.grad_l().clone();
+        let second: Vec<f64> = first.iter().map(|s| 0.5 - s).collect();
+        ws.tailored_loss_grad(&second, &k_sub, None, 3, true, 1e-6, 30.0)
+            .unwrap();
+        let mut fresh = DppWorkspace::new();
+        fresh
+            .tailored_loss_grad(&second, &k_sub, None, 3, true, 1e-6, 30.0)
+            .unwrap();
+        assert_eq!(ws.grad_l().as_slice(), fresh.grad_l().as_slice());
+        assert!(g_first.max_abs_diff(&ws.grad_l()) > 0.0);
     }
 
     #[test]

@@ -336,7 +336,7 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
                 // Compute implicit shift.
                 let g = d[l];
                 let mut p = (d[l + 1] - g) / (2.0 * e[l]);
-                let mut r = p.hypot(1.0);
+                let mut r = radius(p, 1.0);
                 if p < 0.0 {
                     r = -r;
                 }
@@ -363,7 +363,7 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
                     s2 = s;
                     let g = c * e[i];
                     let h = c * p;
-                    let r = p.hypot(e[i]);
+                    let r = radius(p, e[i]);
                     e[i + 1] = s * r;
                     s = e[i] / r;
                     c = p / r;
@@ -392,6 +392,22 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
+/// `√(a² + b²)` for the QL rotations. The plain square root is about a
+/// rounding error from libm's `hypot` and several times cheaper; `hypot`
+/// only runs when `a² + b²` leaves the normal range (overflow, underflow
+/// into subnormals, zero or NaN), where squaring would lose the result.
+#[inline]
+fn radius(a: f64, b: f64) -> f64 {
+    let sq = a * a + b * b;
+    if sq.is_normal() {
+        sq.sqrt()
+    } else {
+        #[cfg(test)]
+        tests::HYPOT_FALLBACKS.with(|n| n.set(n.get() + 1));
+        a.hypot(b)
+    }
+}
+
 /// Sorts eigenvalues ascending, permuting eigenvector columns to match.
 fn sort_ascending(v: &mut Matrix, d: &mut [f64]) {
     let n = d.len();
@@ -418,6 +434,12 @@ fn sort_ascending(v: &mut Matrix, d: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How often [`radius`] fell back to `hypot` on this test thread.
+        pub(super) static HYPOT_FALLBACKS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
@@ -586,5 +608,56 @@ mod tests {
         let inv = eig.reconstruct_with(|_, l| 1.0 / l);
         let expected = crate::lu::inverse(&a).unwrap();
         assert!(inv.max_abs_diff(&expected) < 1e-12);
+    }
+
+    /// Symmetric test matrix with eigenvalues spread over `spread` decades,
+    /// scaled by `scale`.
+    fn graded(n: usize, spread: f64, scale: f64) -> Matrix {
+        let mut a = Matrix::from_fn(n, n, |r, c| {
+            let g = 10f64.powf(-spread * (r.max(c) as f64) / (n - 1) as f64);
+            g * ((((r * 5 + c * 3) % 7) as f64) * 0.3 - 0.9)
+        });
+        for i in 0..n {
+            a[(i, i)] += 10f64.powf(-spread * i as f64 / (n - 1) as f64);
+        }
+        a.symmetrize();
+        a.scale(scale);
+        a
+    }
+
+    #[test]
+    fn extreme_scales_take_the_hypot_fallback_and_stay_exact() {
+        // At 1e-150 the squared rotation terms of the graded matrices fall
+        // below the normal range, so the fallback runs; at 1e150 they stay
+        // finite (≈1e302), which checks the plain root near the top end.
+        HYPOT_FALLBACKS.with(|n| n.set(0));
+        for scale in [1e150, 1e-150] {
+            for spread in [0.0, 8.0, 16.0] {
+                let a = graded(10, spread, scale);
+                let eig = SymmetricEigen::new(&a).unwrap();
+                let norm = a.as_slice().iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+                let err = eig.reconstruct().max_abs_diff(&a);
+                assert!(
+                    err <= 1e-12 * norm,
+                    "scale {scale:e} spread {spread}: reconstruction {err:e} vs {norm:e}"
+                );
+                let vtv = eig.vectors.transpose().matmul(&eig.vectors).unwrap();
+                assert!(
+                    vtv.max_abs_diff(&Matrix::identity(10)) < 1e-12,
+                    "scale {scale:e} spread {spread}: eigenvectors not orthonormal"
+                );
+            }
+        }
+        let fallbacks = HYPOT_FALLBACKS.with(Cell::get);
+        assert!(fallbacks > 0, "no rotation left the normal range");
+    }
+
+    #[test]
+    fn unit_scale_solves_never_need_the_fallback() {
+        HYPOT_FALLBACKS.with(|n| n.set(0));
+        for spread in [0.0, 4.0] {
+            SymmetricEigen::new(&graded(10, spread, 1.0)).unwrap();
+        }
+        assert_eq!(HYPOT_FALLBACKS.with(Cell::get), 0);
     }
 }

@@ -108,17 +108,20 @@ impl KernelCache {
     /// resident user with a different pool keeps its pool. Anything else
     /// would silently break the "first request hits" guarantee for a pair
     /// an earlier prewarm already reported warmed. The prospective entry is
-    /// sized *before* assembly, so a refusal costs `O(1)`. Returns whether
-    /// the pair is warm (resident with exactly these candidates in `form`)
-    /// when the call returns — built now or already resident; only fresh
-    /// builds bump the `prewarmed` counter.
-    pub(crate) fn prewarm(
+    /// sized *before* assembly (`d` is the kernel rank), so a refusal costs
+    /// `O(1)`; only an accepted pair calls `fill`, which must leave the
+    /// entry holding `candidates`' block in `form`. Returns whether the pair
+    /// is warm (resident with exactly these candidates in `form`) when the
+    /// call returns — built now or already resident; only fresh insertions
+    /// bump the `prewarmed` counter.
+    pub(crate) fn prewarm_with(
         &mut self,
         user: usize,
         candidates: &[usize],
-        kernel: &LowRankKernel,
+        d: usize,
         budget: usize,
         form: EntryForm,
+        fill: impl FnOnce(&mut CacheEntry),
     ) -> bool {
         if budget == 0 {
             return false;
@@ -131,13 +134,30 @@ impl KernelCache {
             }
             return false;
         }
-        let need = entry_bytes(form, candidates.len(), kernel.dim());
-        if self.bytes + need > budget {
+        if self.bytes + entry_bytes(form, candidates.len(), d) > budget {
             return false;
         }
         self.prewarmed += 1;
-        self.fill_entry(user, candidates, kernel, form);
+        let entry = self.entries.entry(user).or_insert_with(CacheEntry::empty);
+        fill(entry);
+        entry.last_used = self.tick;
+        self.bytes += entry.bytes();
         true
+    }
+
+    /// [`KernelCache::prewarm_with`] assembling the block itself.
+    #[cfg(test)]
+    pub(crate) fn prewarm(
+        &mut self,
+        user: usize,
+        candidates: &[usize],
+        kernel: &LowRankKernel,
+        budget: usize,
+        form: EntryForm,
+    ) -> bool {
+        self.prewarm_with(user, candidates, kernel.dim(), budget, form, |entry| {
+            entry.fill(candidates, kernel, form, 0)
+        })
     }
 
     /// Replaces this worker's resident set with a clone of `staged` (the

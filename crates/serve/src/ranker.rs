@@ -1,6 +1,6 @@
 //! The batched ranker: requests in, diversified top-N lists out.
 
-use crate::cache::{CacheStats, EntryForm, KernelCache, WorkerCacheStats};
+use crate::cache::{CacheEntry, CacheStats, EntryForm, KernelCache, WorkerCacheStats};
 use crate::{KernelForm, RankingArtifact, ServeConfig};
 use lkp_dpp::{greedy_map_dual_with, greedy_map_with, DualMapWorkspace, MapWorkspace};
 use lkp_linalg::Matrix;
@@ -8,6 +8,7 @@ use lkp_models::Recommender;
 use lkp_runtime::WorkerPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// One top-N request: rank `candidates` for `user` and keep the best
@@ -191,7 +192,7 @@ impl<M: Recommender> StagedSwap<M> {
         // until the atomic swap — so a throwaway workspace holds the
         // template cache and the dedup scratch.
         let mut ws = ServeWorkspace::default();
-        let warmed = prewarm_into(&mut ws, config, &artifact, plan);
+        let warmed = prewarm_into(&mut ws, config, &artifact, plan, &plan_blocks(plan));
         StagedSwap {
             artifact,
             cache: ws.cache,
@@ -352,11 +353,13 @@ impl<M: Recommender + Sync> Ranker<M> {
     /// out-of-catalog items are skipped, and a disabled cache
     /// (`kernel_cache_bytes = 0`) warms nothing.
     ///
-    /// Every pool worker builds every pair into its own cache — chunk
+    /// Every pool worker gets every pair into its own cache — chunk
     /// assignment depends on future batch shapes, so all workers must hold
-    /// a pair for its first request to be a guaranteed hit. Prewarm builds
-    /// are counted as `prewarmed` in [`Ranker::cache_stats_detailed`],
-    /// never as misses.
+    /// a pair for its first request to be a guaranteed hit. Each pair is
+    /// assembled once, by the first worker that accepts it, and cloned into
+    /// every other worker that accepts it (the same build-once rule as
+    /// [`StagedSwap::prepare`]). Each worker's copy is counted as
+    /// `prewarmed` in [`Ranker::cache_stats_detailed`], never as a miss.
     ///
     /// Prewarming is strictly *monotone*: it fills empty cache budget
     /// and never evicts or overwrites a resident entry. A full cache
@@ -385,9 +388,11 @@ impl<M: Recommender + Sync> Ranker<M> {
         // Workers can disagree (earlier traffic left different residents),
         // so report the minimum: pairs warm everywhere.
         let warmed = AtomicUsize::new(usize::MAX);
+        let blocks = plan_blocks(pairs);
         self.pool.run(|_, state| {
             let ws = state.get_or_default::<ServeWorkspace>();
-            warmed.fetch_min(prewarm_into(ws, config, artifact, pairs), Ordering::Relaxed);
+            let n = prewarm_into(ws, config, artifact, pairs, &blocks);
+            warmed.fetch_min(n, Ordering::Relaxed);
         });
         warmed.into_inner()
     }
@@ -477,25 +482,43 @@ fn entry_form(config: &ServeConfig) -> EntryForm {
     }
 }
 
+/// One build slot per plan pair, shared by every cache the plan warms.
+fn plan_blocks(plan: &[(usize, Vec<usize>)]) -> Vec<OnceLock<CacheEntry>> {
+    // lint:allow(hotpath-alloc): one slot per prewarm pair, per prewarm
+    // call — a set-up step, not the request path.
+    plan.iter().map(|_| OnceLock::new()).collect()
+}
+
 /// Warms `plan`'s servable pairs into `ws`'s cache (see [`Ranker::prewarm`])
-/// and returns how many are warm afterwards.
+/// and returns how many are warm afterwards. An accepted pair's block is
+/// taken from its slot in `blocks`, which the first cache to accept the
+/// pair fills; later caches clone it.
 fn prewarm_into<M: Recommender>(
     ws: &mut ServeWorkspace,
     config: &ServeConfig,
     artifact: &RankingArtifact<M>,
     plan: &[(usize, Vec<usize>)],
+    blocks: &[OnceLock<CacheEntry>],
 ) -> usize {
     let budget = config.kernel_cache_bytes;
     let form = entry_form(config);
+    let kernel = artifact.kernel();
     let mut warmed = 0;
-    for (user, candidates) in plan {
+    for ((user, candidates), block) in plan.iter().zip(blocks) {
         if !prewarmable(artifact, *user, candidates) {
             continue;
         }
         let key = dedup_first_occurrence(candidates, &mut ws.order, &mut ws.dup, &mut ws.dedup);
+        let fill = |entry: &mut CacheEntry| {
+            entry.clone_from(block.get_or_init(|| {
+                let mut built = CacheEntry::empty();
+                built.fill(key, kernel, form, 0);
+                built
+            }));
+        };
         if ws
             .cache
-            .prewarm(*user, key, artifact.kernel(), budget, form)
+            .prewarm_with(*user, key, kernel.dim(), budget, form, fill)
         {
             warmed += 1;
         }
@@ -805,4 +828,67 @@ fn serve_one<M: Recommender>(
     resp.items
         .extend(ws.map.items().iter().map(|&idx| cands_used[idx]));
     resp.log_det = ws.map.log_det();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lkp_dpp::LowRankKernel;
+    use lkp_models::MatrixFactorization;
+    use lkp_nn::AdamConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn prewarm_builds_each_pair_once_and_clones_it_into_later_caches() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let model = MatrixFactorization::new(4, 12, 3, AdamConfig::default(), &mut rng);
+        let v = Matrix::from_fn(12, 3, |r, c| (((r * 5 + c * 3) % 7) as f64) * 0.3 - 1.0);
+        let kernel = LowRankKernel::new(v).normalized();
+        let artifact = RankingArtifact::snapshot(&model, &kernel);
+        let kernel = artifact.kernel();
+        let config = ServeConfig::default();
+        let plan = vec![(0, vec![1, 2, 3]), (1, vec![4, 5]), (9, vec![1])];
+        let mut blocks = plan_blocks(&plan);
+
+        let mut first = ServeWorkspace::default();
+        assert_eq!(
+            prewarm_into(&mut first, &config, &artifact, &plan, &blocks),
+            2
+        );
+        assert!(
+            blocks[2].get().is_none(),
+            "an unservable pair is never built"
+        );
+        // Mark the shared builds: a cache that clones them shows the mark,
+        // one that assembled its own copy would not.
+        for block in blocks.iter_mut().filter_map(OnceLock::get_mut) {
+            block.block.scale(-1.0);
+        }
+        let mut second = ServeWorkspace::default();
+        assert_eq!(
+            prewarm_into(&mut second, &config, &artifact, &plan, &blocks),
+            2
+        );
+        let budget = config.kernel_cache_bytes;
+        let form = entry_form(&config);
+        for (user, candidates) in &plan[..2] {
+            let fresh = kernel.submatrix(candidates).unwrap();
+            let (got, hit) = second
+                .cache
+                .get_or_build(*user, candidates, kernel, budget, form);
+            assert!(hit, "user {user} prewarmed");
+            let marked: Vec<f64> = fresh.as_slice().iter().map(|x| -x).collect();
+            assert_eq!(got.as_slice(), &marked[..], "user {user} cloned");
+            let (own, _) = first
+                .cache
+                .get_or_build(*user, candidates, kernel, budget, form);
+            assert_eq!(
+                own.as_slice(),
+                fresh.as_slice(),
+                "user {user} built exactly"
+            );
+        }
+        assert_eq!(second.cache.stats().prewarmed, 2);
+    }
 }
