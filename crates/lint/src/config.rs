@@ -69,7 +69,7 @@ impl LintConfig {
                 "String::from",
             ]),
             expensive_call_prefixes: strings(&[
-                "assemble", "compute", "eigen", "gram", "matmul", "prewarm",
+                "assemble", "compute", "eigen", "gram", "matmul", "prewarm", "pump", "rank",
             ]),
             source_roots: strings(&["crates", "src", "examples"]),
             excluded_dirs: strings(&["target", "fixtures", "vendor"]),

@@ -12,7 +12,7 @@
 //! | lint            | rule |
 //! |-----------------|------|
 //! | `hotpath-alloc` | no allocating calls (`Vec::new`, `vec![`, `to_vec`, `collect`, `Box::new`, `format!`, `String::from`) in the configured hot-path modules |
-//! | `lock-scope`    | no expensive-work calls (`assemble*`, `compute*`, `eigen*`, `gram*`, `matmul*`, `prewarm*`) inside the lexical scope of a live `.lock()` guard |
+//! | `lock-scope`    | no expensive-work calls (`assemble*`, `compute*`, `eigen*`, `gram*`, `matmul*`, `prewarm*`, `pump*`, `rank*`) inside the lexical scope of a live `.lock()` guard |
 //! | `determinism`   | no `Instant::now` / `SystemTime`, and no `HashMap`/`HashSet` iteration, inside the bitwise-pinned core |
 //! | `unsafe-audit`  | every `unsafe` keyword is immediately preceded by a `// SAFETY:` comment |
 //!

@@ -12,7 +12,7 @@
 //!
 //! Within a live scope, any call to an identifier starting with one of the
 //! configured expensive prefixes (`assemble`, `compute`, `eigen`, `gram`,
-//! `matmul`, `prewarm`) is a finding.
+//! `matmul`, `prewarm`, `pump`, `rank`) is a finding.
 
 use super::{ident_before, is_ident, next_nonspace_in, prefix_matches, token_matches};
 use crate::{FileView, Finding, Lint, LintConfig};

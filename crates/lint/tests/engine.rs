@@ -60,7 +60,7 @@ fn l2_lock_scope_fires_under_live_guards_only() {
     );
     assert_eq!(
         lines_of(&findings, Lint::LockScope),
-        vec![22, 30],
+        vec![22, 30, 65],
         "findings: {findings:?}"
     );
     assert_only(&findings, Lint::LockScope);

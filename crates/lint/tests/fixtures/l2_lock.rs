@@ -53,3 +53,15 @@ impl Cache {
         compute_scores(len + n)
     }
 }
+
+fn rank_batch_into(n: usize) -> f64 {
+    n as f64
+}
+
+impl Cache {
+    /// Violation: ranking a batch while the guard is live.
+    pub fn bad_rank(&self, n: usize) -> f64 {
+        let guard = self.inner.lock().unwrap(); // guard taken line 64
+        rank_batch_into(guard.len() + n) // line 65: finding
+    }
+}

@@ -18,20 +18,23 @@ pub struct RankingArtifact<M> {
 }
 
 impl<M: Recommender> RankingArtifact<M> {
-    /// Freezes an owned model + kernel into an artifact.
+    /// Freezes an owned model + kernel into an artifact, normalizing the
+    /// kernel.
     ///
     /// # Panics
     /// If the kernel's item count differs from the model's.
     pub fn new(model: M, kernel: LowRankKernel) -> Self {
+        RankingArtifact::verbatim(model, kernel.normalized())
+    }
+
+    /// Freezes a kernel that is already normalized, bit for bit.
+    fn verbatim(model: M, kernel: LowRankKernel) -> Self {
         assert_eq!(
             kernel.num_items(),
             model.n_items(),
             "diversity kernel and model disagree on catalog size"
         );
-        RankingArtifact {
-            model,
-            kernel: kernel.normalized(),
-        }
+        RankingArtifact { model, kernel }
     }
 
     /// Snapshots (clones) a live model + kernel into an artifact.
@@ -43,12 +46,14 @@ impl<M: Recommender> RankingArtifact<M> {
     }
 
     /// Snapshots a model trained with an [`lkp_core::LkpObjective`], reusing
-    /// the objective's diversity kernel.
+    /// the objective's diversity kernel verbatim: the objective normalized
+    /// it on construction, so serving ranks with the exact bits training
+    /// used.
     pub fn from_trained(model: &M, objective: &lkp_core::LkpObjective) -> Self
     where
         M: Clone,
     {
-        RankingArtifact::snapshot(model, objective.kernel())
+        RankingArtifact::verbatim(model.clone(), objective.kernel().clone())
     }
 
     /// Rebuilds the artifact around a refreshed model, **reusing this
@@ -70,15 +75,7 @@ impl<M: Recommender> RankingArtifact<M> {
     where
         M: Clone,
     {
-        assert_eq!(
-            model.n_items(),
-            self.model.n_items(),
-            "refreshed model changed the catalog size"
-        );
-        RankingArtifact {
-            model: model.clone(),
-            kernel: self.kernel.clone(),
-        }
+        RankingArtifact::verbatim(model.clone(), self.kernel.clone())
     }
 
     /// The frozen relevance model.
@@ -99,5 +96,29 @@ impl<M: Recommender> RankingArtifact<M> {
     /// User population served by this artifact.
     pub fn n_users(&self) -> usize {
         self.model.n_users()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lkp_core::objective::{LkpKind, LkpObjective};
+    use lkp_linalg::Matrix;
+    use lkp_models::MatrixFactorization;
+    use lkp_nn::AdamConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn from_trained_serves_the_objective_kernel_bitwise() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let model = MatrixFactorization::new(4, 12, 3, AdamConfig::default(), &mut rng);
+        let v = Matrix::from_fn(12, 3, |r, c| (((r * 5 + c * 3) % 7) as f64) * 0.3 - 1.0);
+        let objective = LkpObjective::new(LkpKind::NegativeAware, LowRankKernel::new(v));
+        let artifact = RankingArtifact::from_trained(&model, &objective);
+        let bits = |k: &LowRankKernel| -> Vec<u64> {
+            k.factor().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(artifact.kernel()), bits(objective.kernel()));
     }
 }

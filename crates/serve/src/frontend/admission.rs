@@ -131,13 +131,12 @@ pub struct FrontendStats {
     pub served: u64,
     /// Micro-batches cut.
     pub batches: u64,
-    /// Batches cut because `max_batch` requests were pending.
+    /// Batches of exactly `max_batch` requests.
     pub cuts_full: u64,
-    /// Batches cut because the oldest pending deadline was reached
-    /// (`max_wait`, or a tighter per-request SLO).
+    /// Batches smaller than `max_batch`: a free ranker took everything
+    /// pending. (The name predates the work-conserving cut, when these were
+    /// deadline cuts.)
     pub cuts_deadline: u64,
-    /// Batches cut by an explicit [`crate::ServeFrontend::flush`].
-    pub cuts_flush: u64,
     /// Tickets abandoned via [`crate::ServeFrontend::discard`] (pending
     /// requests dropped before serving plus completed responses dropped
     /// unclaimed).
@@ -159,9 +158,9 @@ pub struct FrontendStats {
     /// Unclaimed completed responses dropped by the TTL sweep
     /// ([`crate::FrontendConfig::response_ttl`]).
     pub ttl_expired: u64,
-    /// Artifact swaps committed ([`crate::ServeFrontend::commit_swap`]).
+    /// Artifact swaps committed ([`crate::ServeFrontend::swap_artifact`]).
     pub swaps: u64,
     /// Queue-wait latency of served requests (submit → batch cut), recorded
-    /// on the cut path with no allocation.
+    /// at publish with no allocation.
     pub latency: LatencyHistogram,
 }

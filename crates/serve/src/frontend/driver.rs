@@ -1,71 +1,80 @@
-//! The threaded pump shell: a spawned driver thread owns the pump loop
-//! against the real [`super::core::MonotonicClock`] (or any injected
-//! clock), so the deterministic frontend core needs no caller-side pump
-//! discipline to meet its deadlines.
+//! The threaded pump shell: a spawned thread owns the [`Ranker`] and cuts a
+//! batch whenever it is free.
 //!
-//! [`FrontendDriver::spawn`] moves a [`ServeFrontend`] behind a mutex,
-//! starts the pump thread, and hands out cloneable [`DriverClient`]s.
-//! Submitters go through [`DriverClient::submit`] (admission-checked, never
-//! cuts inline — the pump thread owns batch dispatch) and claim responses
-//! by ticket; the pump thread sleeps exactly until the next deadline cut is
-//! due and is woken early by every submission. The driver is a thin shell:
-//! all cut/SLO/degrade/swap semantics live in the deterministic core, which
-//! is what the bitwise-equivalence tests pin.
+//! [`FrontendDriver::spawn`] splits a [`ServeFrontend`]: its queue goes
+//! behind the driver's mutex, its ranker to the pump thread, and cloneable
+//! [`DriverClient`]s submit, redeem and swap from any thread. The mutex
+//! guards bookkeeping only — the queue, completed responses, counters and
+//! staged swaps. The pump takes up to `max_batch` pending requests under
+//! it, ranks them with no guard held, and publishes the responses under it
+//! again, so a submitter never waits behind a ranking dispatch; staged swaps
+//! commit between batches. All cut/SLO/degrade semantics live in the
+//! deterministic core, which is what the bitwise-equivalence tests pin.
 
 use super::admission::{FrontendStats, SubmitError};
-use super::core::{ServeFrontend, Ticket};
-use super::swap::SwapReport;
-use crate::{RankRequest, RankResponse, RankingArtifact, StagedSwap};
+use super::core::{Batch, Queue, ServeFrontend, Ticket};
+use super::swap::{commit, SwapReport};
+use crate::{RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig, StagedSwap};
 use lkp_models::Recommender;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Floor for the pump thread's sleep until the next deadline cut, so a zero
-/// `max_wait` cannot spin a core; submissions still wake the thread
-/// immediately.
-const MIN_CUT_SLEEP: Duration = Duration::from_micros(200);
 
 /// The pump thread's sleep when nothing is queued. Submissions wake it at
 /// once, so this only bounds how late a TTL sweep of unclaimed responses
 /// ([`crate::FrontendConfig::response_ttl`]) runs on a quiet queue.
 const IDLE_SLEEP: Duration = Duration::from_millis(5);
 
+/// Everything the driver's mutex guards.
+struct State<M> {
+    queue: Queue,
+    /// Swaps staged by clients, committed by the pump in order; each
+    /// report goes back on its channel.
+    staged: VecDeque<(StagedSwap<M>, SyncSender<SwapReport>)>,
+    /// The generation of the last commit.
+    generation: u64,
+    /// Set once by shutdown; the pump exits when nothing is left to serve.
+    shutdown: bool,
+}
+
 struct DriverShared<M> {
-    frontend: Mutex<ServeFrontend<M>>,
-    /// Signaled on every submission (and shutdown) to wake the pump thread.
+    state: Mutex<State<M>>,
+    /// The pump ranker's config, for staging swaps off the lock.
+    config: ServeConfig,
+    /// Signaled on every submission, staged swap and shutdown to wake the
+    /// pump thread.
     wake: Condvar,
-    /// Signaled after every pump that completed requests, for
+    /// Signaled after every published batch, for
     /// [`DriverClient::take_deadline`] waiters.
     served: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl<M> DriverShared<M> {
-    fn lock(&self) -> MutexGuard<'_, ServeFrontend<M>> {
+    fn lock(&self) -> MutexGuard<'_, State<M>> {
         // A panicking request is contained inside the ranker
-        // (`RankOutcome::Panicked`), so a poisoned frontend mutex means a
-        // bug in the frontend bookkeeping itself; the state is still
-        // consistent enough to drain, so recover rather than wedge every
-        // client.
-        self.frontend
+        // (`RankOutcome::Panicked`), so a poisoned mutex means a bug in the
+        // bookkeeping itself; the state is still consistent enough to
+        // drain, so recover rather than wedge every client.
+        self.state
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
 /// Owner handle of the pump thread. Dropping it (or calling
-/// [`FrontendDriver::shutdown`]) stops the pump after a final flush, so no
-/// accepted ticket is ever lost.
+/// [`FrontendDriver::shutdown`]) stops the pump once everything pending is
+/// served, so no accepted ticket is ever lost.
 pub struct FrontendDriver<M: Recommender + Send + Sync + 'static> {
     shared: Option<Arc<DriverShared<M>>>,
-    pump: Option<JoinHandle<()>>,
+    pump: Option<JoinHandle<Ranker<M>>>,
 }
 
 /// A cloneable submission/redemption handle to a driven frontend. All
-/// methods take brief locks; none blocks behind a ranking dispatch except
-/// [`DriverClient::take_deadline`], which waits on a condvar.
+/// methods take brief locks; none blocks behind a ranking dispatch.
+/// [`DriverClient::take_deadline`] and [`DriverClient::swap_artifact`]
+/// wait on a condvar.
 pub struct DriverClient<M: Recommender + Send + Sync + 'static> {
     shared: Arc<DriverShared<M>>,
 }
@@ -79,21 +88,32 @@ impl<M: Recommender + Send + Sync + 'static> Clone for DriverClient<M> {
 }
 
 impl<M: Recommender + Send + Sync + 'static> FrontendDriver<M> {
-    /// Moves `frontend` behind the driver's lock and spawns the pump
-    /// thread. The frontend keeps whatever clock it was built with —
-    /// production uses the default [`super::core::MonotonicClock`]; tests
-    /// can drive a [`super::core::ManualClock`] handle they kept.
+    /// Moves `frontend`'s queue behind the driver's lock and its ranker to
+    /// a new pump thread. The queue keeps whatever clock it was built
+    /// with — production uses the default [`super::core::MonotonicClock`];
+    /// tests can drive a [`super::core::ManualClock`] handle they kept.
     pub fn spawn(frontend: ServeFrontend<M>) -> Self {
+        let ServeFrontend {
+            mut ranker, queue, ..
+        } = frontend;
         let shared = Arc::new(DriverShared {
-            frontend: Mutex::new(frontend),
+            config: ranker.config().clone(),
+            state: Mutex::new(State {
+                generation: ranker.generation(),
+                queue,
+                staged: VecDeque::new(),
+                shutdown: false,
+            }),
             wake: Condvar::new(),
             served: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
         let pump_shared = Arc::clone(&shared);
         let pump = std::thread::Builder::new()
             .name("lkp-frontend-pump".into())
-            .spawn(move || pump_loop(&pump_shared))
+            .spawn(move || {
+                pump_loop(&pump_shared, &mut ranker);
+                ranker
+            })
             .expect("spawn frontend pump thread");
         FrontendDriver {
             shared: Some(shared),
@@ -108,27 +128,30 @@ impl<M: Recommender + Send + Sync + 'static> FrontendDriver<M> {
         }
     }
 
-    /// Stops accepting submissions, flushes everything pending, joins the
+    /// Stops accepting submissions, serves everything pending, joins the
     /// pump thread, and returns the frontend — unless clients still hold
-    /// handles, in which case `None` is returned and the frontend lives on
+    /// handles, in which case `None` is returned and the queue lives on
     /// behind the surviving clients (they can keep redeeming tickets;
     /// submissions keep failing with [`SubmitError::ShuttingDown`]).
     pub fn shutdown(mut self) -> Option<ServeFrontend<M>> {
-        self.stop_pump();
-        let shared = self.shared.take()?;
-        Arc::try_unwrap(shared)
-            .ok()
-            .map(|s| s.frontend.into_inner().unwrap_or_else(|p| p.into_inner()))
+        let ranker = self.stop_pump()?;
+        let shared = Arc::try_unwrap(self.shared.take()?).ok()?;
+        let state = shared.state.into_inner().unwrap_or_else(|p| p.into_inner());
+        Some(ServeFrontend {
+            ranker,
+            queue: state.queue,
+            batch: Batch::default(),
+        })
     }
 
-    fn stop_pump(&mut self) {
+    /// Signals shutdown and joins the pump, returning its ranker (`None`
+    /// once already joined, or if the pump thread panicked).
+    fn stop_pump(&mut self) -> Option<Ranker<M>> {
         if let Some(shared) = &self.shared {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.lock().shutdown = true;
             shared.wake.notify_all();
         }
-        if let Some(handle) = self.pump.take() {
-            let _ = handle.join();
-        }
+        self.pump.take()?.join().ok()
     }
 }
 
@@ -148,83 +171,87 @@ impl<M: Recommender + Send + Sync + 'static> std::fmt::Debug for FrontendDriver<
 
 impl<M: Recommender + Send + Sync + 'static> DriverClient<M> {
     /// Admission-checked submission (see [`ServeFrontend::try_submit`]);
-    /// wakes the pump thread so a newly-due batch is cut without waiting
-    /// out the idle sleep.
+    /// wakes the pump thread, which cuts at once if its ranker is free.
     pub fn submit(&self, request: RankRequest) -> Result<Ticket, SubmitError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        let mut state = self.shared.lock();
+        // The pump exits only under this lock, with the flag set and the
+        // queue empty, so an admitted request is always served.
+        if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        let result = self.shared.lock().try_submit(request);
+        let result = state.queue.try_submit(request);
+        drop(state);
         if result.is_ok() {
             self.shared.wake.notify_all();
         }
         result
     }
 
-    /// Claims the response for `ticket` if its batch has been cut.
-    pub fn try_take(&self, ticket: Ticket) -> Option<RankResponse> {
-        self.shared.lock().try_take(ticket)
-    }
-
-    /// Waits up to `timeout` for `ticket`'s response. Returns `None` on
-    /// timeout (the ticket stays redeemable later).
+    /// Waits up to `timeout` for `ticket`'s response (a zero timeout just
+    /// polls). Returns `None` on timeout (the ticket stays redeemable
+    /// later).
     pub fn take_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<RankResponse> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.shared.lock();
+        let mut state = self.shared.lock();
         loop {
-            if let Some(resp) = guard.try_take(ticket) {
+            if let Some(resp) = state.queue.try_take(ticket) {
                 return Some(resp);
             }
             let now = std::time::Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (g, _) = self
+            state = self
                 .shared
                 .served
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            guard = g;
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
         }
     }
 
-    /// Abandons a ticket (see [`ServeFrontend::discard`]).
+    /// Abandons a ticket (see [`ServeFrontend::discard`]); a ticket whose
+    /// batch is being ranked has its response dropped at publish.
     pub fn discard(&self, ticket: Ticket) -> bool {
-        self.shared.lock().discard(ticket)
+        self.shared.lock().queue.discard(ticket)
     }
 
     /// Traffic counters of the driven frontend.
     pub fn stats(&self) -> FrontendStats {
-        self.shared.lock().stats()
+        self.shared.lock().queue.stats
     }
 
-    /// The current artifact generation.
+    /// The generation of the last committed swap.
     pub fn generation(&self) -> u64 {
-        self.shared.lock().generation()
+        self.shared.lock().generation
     }
 
-    /// Requests pending + responses completed-but-unclaimed right now.
-    pub fn depths(&self) -> (usize, usize) {
-        let guard = self.shared.lock();
-        (guard.pending_len(), guard.completed_len())
-    }
-
-    /// Hot-swaps the served artifact under live traffic. The expensive
-    /// staging (building + prewarming the new generation's cache) runs
-    /// *off* the frontend lock; only the cheap commit — pointer installs —
-    /// happens under it, so concurrent submitters wait microseconds, not
-    /// the prewarm time.
+    /// Hot-swaps the served artifact under live traffic. Staging (building
+    /// and prewarming the new generation's cache) runs on the calling
+    /// thread with no guard held; the pump commits the staged swap between
+    /// batches, and this returns once it has, with
+    /// [`DriverClient::generation`] already reporting the new generation.
+    ///
+    /// # Panics
+    /// If the driver has shut down (no pump is left to commit).
     pub fn swap_artifact(
         &self,
         artifact: RankingArtifact<M>,
         prewarm_plan: &[(usize, Vec<usize>)],
     ) -> SwapReport {
-        let config = self.shared.lock().ranker().config().clone();
-        let staged = StagedSwap::prepare(&config, artifact, prewarm_plan);
-        let report = self.shared.lock().commit_swap(staged);
-        // Post-swap deadlines may have moved; let the pump re-evaluate.
+        let staged = StagedSwap::prepare(&self.shared.config, artifact, prewarm_plan);
+        let mut state = self.shared.lock();
+        assert!(
+            !state.shutdown,
+            "swap_artifact on a driver that has shut down"
+        );
+        let (reply, committed) = mpsc::sync_channel(1);
+        state.staged.push_back((staged, reply));
+        drop(state);
         self.shared.wake.notify_all();
-        report
+        committed
+            .recv()
+            .expect("the pump commits every staged swap")
     }
 }
 
@@ -234,31 +261,51 @@ impl<M: Recommender + Send + Sync + 'static> std::fmt::Debug for DriverClient<M>
     }
 }
 
-/// The pump thread: sleep until the next deadline cut is due (woken early
-/// by submissions), pump, repeat; on shutdown, flush and exit. The lock is
-/// released for the whole sleep (condvar wait), so submitters and
-/// redeemers are never blocked by an idle pump.
-fn pump_loop<M: Recommender + Send + Sync + 'static>(shared: &DriverShared<M>) {
-    let mut guard = shared.lock();
+/// The pump thread. Under the lock it waits for work, then takes a staged
+/// swap or cuts up to `max_batch` pending requests; with the guard dropped
+/// it commits or ranks; it then publishes under the lock again. On
+/// shutdown it exits once nothing is pending or staged.
+fn pump_loop<M: Recommender + Send + Sync + 'static>(
+    shared: &DriverShared<M>,
+    ranker: &mut Ranker<M>,
+) {
+    let mut batch = Batch::default();
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            guard.flush();
-            shared.served.notify_all();
-            return;
+        let staged = {
+            let mut state = shared.lock();
+            loop {
+                state.queue.sweep_responses();
+                if !state.staged.is_empty() || state.queue.pending_len() > 0 {
+                    break;
+                }
+                if state.shutdown {
+                    return;
+                }
+                state = shared
+                    .wake
+                    .wait_timeout(state, IDLE_SLEEP)
+                    .unwrap_or_else(|p| p.into_inner())
+                    .0;
+            }
+            let staged = state.staged.pop_front();
+            if staged.is_none() {
+                state.queue.cut(ranker.generation(), &mut batch);
+            }
+            staged
+        };
+        match staged {
+            Some((staged, reply)) => {
+                let report = commit(ranker, staged);
+                let mut state = shared.lock();
+                state.queue.record_swap(report);
+                state.generation = report.generation;
+                let _ = reply.send(report);
+            }
+            None => {
+                batch.rank(ranker);
+                shared.lock().queue.publish(&mut batch);
+                shared.served.notify_all();
+            }
         }
-        if guard.pump() > 0 {
-            shared.served.notify_all();
-        }
-        // Sleep until the next deadline cut, or for `IDLE_SLEEP` with
-        // nothing queued so TTL sweeps keep running.
-        let sleep = guard
-            .time_to_next_cut()
-            .unwrap_or(IDLE_SLEEP)
-            .max(MIN_CUT_SLEEP);
-        let (g, _) = shared
-            .wake
-            .wait_timeout(guard, sleep)
-            .unwrap_or_else(|p| p.into_inner());
-        guard = g;
     }
 }

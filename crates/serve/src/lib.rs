@@ -27,11 +27,12 @@
 //!    entries cost `O(|C|²)` bytes, dual factor entries `O(|C|·d)` — so the
 //!    dual form also multiplies effective cache capacity by ~`|C|/d`.
 //! 4. [`ServeFrontend`] accepts individually submitted requests into a
-//!    bounded queue and cuts micro-batches by size/deadline
-//!    ([`FrontendConfig`]), so callers that see one request at a time still
-//!    ride the batched pool path.
-//! 5. The production shell hardens that core: [`FrontendDriver`] pumps the
-//!    frontend from its own thread; admission control sheds overload with
+//!    bounded queue and cuts micro-batches of up to `max_batch`
+//!    ([`FrontendConfig`]) whenever the ranker is free, so callers that see
+//!    one request at a time still ride the batched pool path.
+//! 5. The production shell hardens that core: [`FrontendDriver`]'s pump
+//!    thread owns the ranker and ranks each batch with no lock held, so
+//!    submitters never wait behind a dispatch; admission control sheds overload with
 //!    a typed [`SubmitError`]; per-request SLOs expire stale work at cut
 //!    time; a degraded mode caps the DPP rerank head under pressure; panics
 //!    and numerical failures poison only their own ticket

@@ -23,9 +23,8 @@ pub struct RankRequest {
     pub top_n: usize,
     /// Optional latency budget. The frontend sheds a request still queued
     /// past its SLO at cut time with [`RankOutcome::Expired`] instead of
-    /// serving it late, and cuts a partial batch early when the SLO is
-    /// tighter than [`crate::FrontendConfig::max_wait`]. `None` (the
-    /// default) keeps the frontend's batch deadline as the only clock.
+    /// serving it late. It does not cut earlier for it: cuts already happen
+    /// whenever the ranker is free. `None` (the default) never expires.
     pub slo: Option<Duration>,
     /// DPP rerank head: `0` (the default) runs greedy MAP over the full
     /// candidate set; a non-zero value reranks only the `rerank_head`
@@ -166,9 +165,8 @@ pub struct Ranker<M> {
 
 /// A new artifact with its generation cache pre-assembled — the expensive
 /// half of a hot swap, built *off* the serving path (no pool, no frontend
-/// lock) via [`StagedSwap::prepare`] or [`Ranker::stage_swap`], then
-/// installed by the cheap [`Ranker::commit_swap`] /
-/// [`crate::ServeFrontend::commit_swap`].
+/// lock) via [`StagedSwap::prepare`], then installed by the cheap
+/// [`Ranker::commit_swap`].
 pub struct StagedSwap<M> {
     artifact: RankingArtifact<M>,
     /// One template cache, assembled once; commit clones it into every
@@ -198,16 +196,6 @@ impl<M: Recommender> StagedSwap<M> {
             cache: ws.cache,
             warmed,
         }
-    }
-
-    /// The staged artifact.
-    pub fn artifact(&self) -> &RankingArtifact<M> {
-        &self.artifact
-    }
-
-    /// Pairs warm in the staged cache.
-    pub fn warmed(&self) -> usize {
-        self.warmed
     }
 }
 
@@ -294,18 +282,6 @@ impl<M: Recommender + Sync> Ranker<M> {
         resp
     }
 
-    /// Stages a replacement artifact for a hot swap: the new generation's
-    /// cache is fully assembled here, off the serving path, so
-    /// [`Ranker::commit_swap`] only has to install pointers and clone the
-    /// warm template into each worker.
-    pub fn stage_swap(
-        &self,
-        artifact: RankingArtifact<M>,
-        prewarm_plan: &[(usize, Vec<usize>)],
-    ) -> StagedSwap<M> {
-        StagedSwap::prepare(&self.config, artifact, prewarm_plan)
-    }
-
     /// Atomically installs a staged artifact between batches. In-flight
     /// semantics are the caller's (the frontend swaps only between cuts, so
     /// no batch ever sees two artifacts); every response carries the
@@ -332,17 +308,6 @@ impl<M: Recommender + Sync> Ranker<M> {
         self.artifact = artifact;
         self.generation += 1;
         (warmed, retired.into_inner())
-    }
-
-    /// [`Ranker::stage_swap`] + [`Ranker::commit_swap`] in one call, for
-    /// callers without concurrent traffic to hide the staging cost from.
-    pub fn swap_artifact(
-        &mut self,
-        artifact: RankingArtifact<M>,
-        prewarm_plan: &[(usize, Vec<usize>)],
-    ) -> (usize, usize) {
-        let staged = self.stage_swap(artifact, prewarm_plan);
-        self.commit_swap(staged)
     }
 
     /// Builds popular `(user, candidates)` pairs into the kernel cache

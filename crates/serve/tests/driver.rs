@@ -11,12 +11,13 @@ use lkp_dpp::LowRankKernel;
 use lkp_models::{MatrixFactorization, Recommender};
 use lkp_nn::AdamConfig;
 use lkp_serve::{
-    FrontendConfig, FrontendDriver, RankOutcome, RankRequest, RankResponse, Ranker,
+    FrontendConfig, FrontendDriver, ManualClock, RankOutcome, RankRequest, RankResponse, Ranker,
     RankingArtifact, ServeConfig, ServeFrontend, SubmitError, Ticket,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn data() -> Dataset {
     lkp_data::synthetic::generate(&SyntheticConfig {
@@ -86,6 +87,81 @@ fn assert_same(got: &RankResponse, want: &RankResponse, context: &str) {
     );
 }
 
+/// Bound on every wait in this suite, so a regression fails instead of
+/// hanging.
+const WAIT: Duration = Duration::from_secs(10);
+
+/// A one-shot latch shared between threads.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn open(&self) {
+        *self.0 .0.lock().unwrap() = true;
+        self.0 .1.notify_all();
+    }
+
+    /// Waits up to `timeout` for the gate; returns whether it opened.
+    fn wait(&self, timeout: Duration) -> bool {
+        let guard = self.0 .0.lock().unwrap();
+        let (open, _) = self
+            .0
+             .1
+            .wait_timeout_while(guard, timeout, |open| !*open)
+            .unwrap();
+        *open
+    }
+}
+
+/// A model whose scoring of `user` opens `entered`, then waits on
+/// `release` (at most `WAIT`) before scoring like the inner model.
+#[derive(Clone)]
+struct GatedModel {
+    inner: MatrixFactorization,
+    user: usize,
+    entered: Gate,
+    release: Gate,
+}
+
+impl GatedModel {
+    fn new(inner: &MatrixFactorization, user: usize) -> Self {
+        GatedModel {
+            inner: inner.clone(),
+            user,
+            entered: Gate::default(),
+            release: Gate::default(),
+        }
+    }
+}
+
+impl Recommender for GatedModel {
+    fn n_users(&self) -> usize {
+        self.inner.n_users()
+    }
+    fn n_items(&self) -> usize {
+        self.inner.n_items()
+    }
+    fn score_items(&self, user: usize, items: &[usize]) -> Vec<f64> {
+        if user == self.user {
+            self.entered.open();
+            self.release.wait(WAIT);
+        }
+        self.inner.score_items(user, items)
+    }
+    fn accumulate_score_grads(&mut self, _: usize, _: &[usize], _: &[f64]) {}
+    fn step(&mut self) {}
+}
+
+fn gated_ranker(model: &GatedModel, kernel: &LowRankKernel) -> Ranker<GatedModel> {
+    Ranker::new(
+        RankingArtifact::snapshot(model, kernel),
+        ServeConfig {
+            threads: 2,
+            ..Default::default()
+        },
+    )
+}
+
 fn ranker(model: &MatrixFactorization, kernel: &LowRankKernel) -> Ranker<MatrixFactorization> {
     Ranker::new(
         RankingArtifact::snapshot(model, kernel),
@@ -126,7 +202,6 @@ fn driver_serves_bitwise_under_concurrent_submitters() {
         ranker(&model, &kernel),
         FrontendConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(500),
             queue_capacity: 16,
             ..Default::default()
         },
@@ -211,7 +286,6 @@ fn driver_swap_under_live_traffic_is_bitwise_per_generation() {
         ranker(&model_a, &kernel),
         FrontendConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(500),
             queue_capacity: 32,
             ..Default::default()
         },
@@ -281,9 +355,10 @@ fn driver_swap_under_live_traffic_is_bitwise_per_generation() {
     drop(driver);
 }
 
-/// Shutdown flushes everything pending (zero lost tickets), then refuses
-/// new submissions; with clients still alive the frontend stays redeemable
-/// behind them, and once they drop the frontend is returned intact.
+/// Shutdown serves everything pending (zero lost tickets), then refuses
+/// new submissions; with clients still alive the queue stays redeemable
+/// behind them, and once they drop the frontend is returned intact. A gated
+/// model holds the pump inside its first batch so the rest stay pending.
 #[test]
 fn driver_shutdown_flushes_pending_and_refuses_new_work() {
     let data = data();
@@ -291,55 +366,141 @@ fn driver_shutdown_flushes_pending_and_refuses_new_work() {
     let reqs = requests(&data, 5);
     let want = ranker(&model, &kernel).rank_batch(&reqs);
 
-    // A queue that will never cut on its own: shutdown must flush it.
-    let frontend = ServeFrontend::new(
-        ranker(&model, &kernel),
-        FrontendConfig {
-            max_batch: 1000,
-            max_wait: Duration::from_secs(3600),
-            ..Default::default()
-        },
-    );
-    let driver = FrontendDriver::spawn(frontend);
+    let gated = GatedModel::new(&model, reqs[0].user);
+    let driver = FrontendDriver::spawn(ServeFrontend::new(
+        gated_ranker(&gated, &kernel),
+        FrontendConfig::default(),
+    ));
     let client = driver.client();
-    let tickets: Vec<_> = reqs
-        .iter()
-        .map(|r| client.submit(r.clone()).expect("admitted"))
-        .collect();
+    let first = client.submit(reqs[0].clone()).expect("admitted");
+    assert!(gated.entered.wait(WAIT), "the pump starts ranking");
+    let mut tickets = vec![first];
+    tickets.extend(
+        reqs[1..]
+            .iter()
+            .map(|r| client.submit(r.clone()).expect("admitted")),
+    );
+    assert_eq!(client.stats().served, 0, "the rest are still pending");
 
-    // A surviving client keeps the frontend alive behind the driver.
-    assert!(driver.shutdown().is_none(), "client still holds a handle");
+    // A surviving client keeps the queue alive behind the driver. Shut down
+    // on another thread, and release the pump once submissions are refused.
+    let shutdown = std::thread::spawn(move || driver.shutdown().is_none());
+    let mut probes = Vec::new();
+    let started = Instant::now();
+    loop {
+        match client.submit(reqs[1].clone()) {
+            Ok(ticket) => probes.push(ticket),
+            Err(SubmitError::ShuttingDown) => break,
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+        assert!(started.elapsed() < WAIT, "shutdown never refused work");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gated.release.open();
+    assert!(
+        shutdown.join().expect("shutdown thread"),
+        "client still holds a handle"
+    );
     assert_eq!(
         client.submit(reqs[0].clone()),
         Err(SubmitError::ShuttingDown)
     );
     for (ticket, want) in tickets.iter().zip(want.iter()) {
         let resp = client
-            .take_deadline(*ticket, Duration::from_secs(30))
-            .expect("shutdown flushed the queue");
+            .take_deadline(*ticket, Duration::ZERO)
+            .expect("shutdown served the queue");
         assert_eq!(resp.outcome, RankOutcome::Served);
-        assert_same(&resp, want, "flushed at shutdown");
+        assert_same(&resp, want, "served at shutdown");
+    }
+    for ticket in &probes {
+        let resp = client
+            .take_deadline(*ticket, Duration::ZERO)
+            .expect("probe served");
+        assert_same(&resp, &want[1], "probe served at shutdown");
     }
     let stats = client.stats();
-    assert_eq!(stats.served, reqs.len() as u64);
-    assert!(stats.cuts_flush >= 1);
+    assert_eq!(stats.served, (reqs.len() + probes.len()) as u64);
 
     // Without surviving clients, shutdown hands the frontend back.
+    let gated = GatedModel::new(&model, reqs[0].user);
     let driver = FrontendDriver::spawn(ServeFrontend::new(
-        ranker(&model, &kernel),
-        FrontendConfig {
-            max_batch: 1000,
-            max_wait: Duration::from_secs(3600),
-            ..Default::default()
-        },
+        gated_ranker(&gated, &kernel),
+        FrontendConfig::default(),
     ));
-    let ticket = {
+    let (first, ticket) = {
         let client = driver.client();
-        client.submit(reqs[0].clone()).expect("admitted")
+        let first = client.submit(reqs[0].clone()).expect("admitted");
+        assert!(gated.entered.wait(WAIT), "the pump starts ranking");
+        (first, client.submit(reqs[1].clone()).expect("admitted"))
     };
+    gated.release.open();
     let mut frontend = driver.shutdown().expect("no surviving clients");
-    let resp = frontend.try_take(ticket).expect("flushed before join");
+    assert_eq!(frontend.pending_len(), 0);
+    let resp = frontend.try_take(first).expect("served before join");
     assert_same(&resp, &want[0], "redeemed from the returned frontend");
+    let resp = frontend.try_take(ticket).expect("served before join");
+    assert_same(&resp, &want[1], "pending at shutdown, redeemed after");
+}
+
+/// With no batching timer, a lone request is served as soon as the pump
+/// is free — even when the frontend's clock never moves.
+#[test]
+fn driver_serves_a_lone_request_on_a_frozen_clock() {
+    let data = data();
+    let (model, kernel) = trained(&data);
+    let reqs = requests(&data, 5);
+    let want = ranker(&model, &kernel).rank_batch(&reqs[..1]);
+    let driver = FrontendDriver::spawn(ServeFrontend::with_clock(
+        ranker(&model, &kernel),
+        FrontendConfig::default(),
+        Box::new(ManualClock::new()),
+    ));
+    let client = driver.client();
+    let ticket = client.submit(reqs[0].clone()).expect("admitted");
+    let resp = client
+        .take_deadline(ticket, WAIT)
+        .expect("served without the clock advancing");
+    assert_same(&resp, &want[0], "lone request");
+    let stats = client.stats();
+    assert_eq!((stats.batches, stats.cuts_deadline), (1, 1));
+}
+
+/// The pump ranks with no frontend guard held: a submission made while a
+/// batch is inside `rank_batch_into` returns at once. The gated model
+/// holds that batch until the test releases it, after the submission has
+/// returned or `WAIT` has passed.
+#[test]
+fn submit_returns_while_the_pump_is_ranking() {
+    let data = data();
+    let (model, kernel) = trained(&data);
+    let reqs = requests(&data, 5);
+    let want = ranker(&model, &kernel).rank_batch(&reqs[..2]);
+    let gated = GatedModel::new(&model, reqs[0].user);
+    let driver = FrontendDriver::spawn(ServeFrontend::new(
+        gated_ranker(&gated, &kernel),
+        FrontendConfig::default(),
+    ));
+    let client = driver.client();
+    let first = client.submit(reqs[0].clone()).expect("admitted");
+    assert!(gated.entered.wait(WAIT), "the pump starts ranking");
+
+    let returned = Gate::default();
+    let submitter = {
+        let (client, returned, req) = (client.clone(), returned.clone(), reqs[1].clone());
+        std::thread::spawn(move || {
+            let ticket = client.submit(req).expect("admitted");
+            returned.open();
+            ticket
+        })
+    };
+    let in_time = returned.wait(WAIT);
+    gated.release.open();
+    assert!(in_time, "submit blocked behind the ranking batch");
+    let second = submitter.join().expect("submitter thread");
+    for (ticket, want) in [first, second].iter().zip(&want) {
+        let resp = client.take_deadline(*ticket, WAIT).expect("served");
+        assert_same(&resp, want, "gated batch and its successor");
+    }
 }
 
 /// A model that panics while scoring one user must not wedge the pump
@@ -394,7 +555,6 @@ fn driver_survives_panicking_model() {
         ),
         FrontendConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(500),
             ..Default::default()
         },
     );

@@ -160,7 +160,7 @@ fn dense_vs_dual_equivalence_matrix() {
                     }
                     let tickets: Vec<Ticket> =
                         reqs.iter().map(|r| frontend.submit(r.clone())).collect();
-                    frontend.flush();
+                    frontend.pump();
                     let got = tickets
                         .iter()
                         .map(|t| {
@@ -314,7 +314,7 @@ fn swap_under_traffic_in_dual_mode() {
         .iter()
         .map(|r| frontend.try_submit(r.clone()).unwrap())
         .collect();
-    frontend.flush();
+    frontend.pump();
     for (ticket, want) in tickets.iter().zip(&want_a) {
         let resp = frontend.try_take(*ticket).expect("gen-1 ticket");
         assert_same_bits(&resp, want, "gen 1");
@@ -330,7 +330,7 @@ fn swap_under_traffic_in_dual_mode() {
     assert_eq!(report.warmed, plan.len(), "plan fully warm");
     assert!(report.retired > 0, "old entries retired");
     let (_, misses_before) = frontend.ranker().cache_stats();
-    frontend.flush();
+    frontend.pump();
     let (_, misses_after) = frontend.ranker().cache_stats();
     assert_eq!(
         misses_after - misses_before,

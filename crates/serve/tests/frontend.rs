@@ -1,7 +1,6 @@
 //! Frontend integration tests: micro-batched submission must serve bitwise
 //! the same lists as direct batching — at any pool width, cold or
-//! pre-warmed — and the cut policy must be deterministic under the injected
-//! clock.
+//! pre-warmed — and batches must be cut by size inline and by `pump`.
 
 use lkp_core::objective::{LkpKind, LkpObjective};
 use lkp_core::{train_diversity_kernel, DiversityKernelConfig, TrainConfig, Trainer};
@@ -116,15 +115,13 @@ fn frontend_cache_mode_and_width_equivalence() {
                     ..Default::default()
                 },
             );
-            let clock = ManualClock::new();
             let mut frontend = ServeFrontend::with_clock(
                 ranker,
                 FrontendConfig {
                     max_batch: 7,
-                    max_wait: Duration::from_millis(2),
                     ..Default::default()
                 },
-                Box::new(clock.clone()),
+                Box::new(ManualClock::new()),
             );
             if prewarmed {
                 assert_eq!(
@@ -134,17 +131,16 @@ fn frontend_cache_mode_and_width_equivalence() {
                 );
             }
             // Mixed cut pattern: some batches cut by size during
-            // submission, one by deadline mid-stream, the tail by
-            // flush.
+            // submission, one partial batch by a pump mid-stream, the tail
+            // by a final pump.
             let mut tickets: Vec<Ticket> = Vec::new();
             for (i, req) in reqs.iter().enumerate() {
                 tickets.push(frontend.submit(req.clone()));
                 if i == 9 {
-                    clock.advance(Duration::from_millis(3));
                     frontend.pump();
                 }
             }
-            frontend.flush();
+            frontend.pump();
             let context = format!("threads {threads} prewarmed {prewarmed}");
             for (ticket, want) in tickets.iter().zip(&want) {
                 let got = frontend
@@ -166,7 +162,7 @@ fn frontend_cache_mode_and_width_equivalence() {
 }
 
 #[test]
-fn batches_cut_by_size_deadline_and_flush() {
+fn batches_cut_by_size_and_pump() {
     let data = data();
     let (model, kernel) = trained(&data);
     let reqs = requests(&data, 5);
@@ -181,7 +177,6 @@ fn batches_cut_by_size_deadline_and_flush() {
         ),
         FrontendConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(10),
             ..Default::default()
         },
         Box::new(clock.clone()),
@@ -194,25 +189,30 @@ fn batches_cut_by_size_deadline_and_flush() {
     assert_eq!(frontend.pending_len(), 0);
     assert_eq!(frontend.stats().cuts_full, 1);
 
-    // 2 more sit under the deadline: pump is a no-op until the clock
-    // crosses max_wait, then cuts a partial deadline batch.
+    // 2 more stay pending however much time passes — no timer cuts — until
+    // a pump serves them as one partial batch.
     frontend.submit(reqs[4].clone());
     frontend.submit(reqs[5].clone());
-    clock.advance(Duration::from_millis(9));
-    assert_eq!(frontend.pump(), 0);
+    clock.advance(Duration::from_secs(3600));
     assert_eq!(frontend.pending_len(), 2);
-    clock.advance(Duration::from_millis(1));
     assert_eq!(frontend.pump(), 2);
     assert_eq!(frontend.stats().cuts_deadline, 1);
+    assert_eq!(frontend.pump(), 0, "nothing pending, nothing cut");
 
-    // Flush serves the remainder regardless of deadlines.
-    frontend.submit(reqs[6].clone());
-    assert_eq!(frontend.flush(), 1);
+    // A pump serves everything pending, `max_batch` at a time: 9 queued
+    // (`try_submit` never cuts inline) go out as 4 + 4 + 1.
+    for req in &reqs[6..15] {
+        frontend
+            .try_submit(req.clone())
+            .expect("under queue_capacity");
+    }
+    assert_eq!(frontend.pump(), 9);
     let stats = frontend.stats();
-    assert_eq!(stats.cuts_flush, 1);
-    assert_eq!(stats.submitted, 7);
-    assert_eq!(stats.served, 7);
-    assert_eq!(stats.batches, 3);
+    assert_eq!(stats.cuts_full, 3);
+    assert_eq!(stats.cuts_deadline, 2);
+    assert_eq!(stats.submitted, 15);
+    assert_eq!(stats.served, 15);
+    assert_eq!(stats.batches, 5);
 }
 
 #[test]
@@ -220,9 +220,9 @@ fn queue_never_grows_past_max_batch() {
     let data = data();
     let (model, kernel) = trained(&data);
     let reqs = requests(&data, 4);
-    // max_wait so large that only size cuts can fire: the queue is bounded
-    // by the inline cut alone, submission never errors, and backpressure
-    // is served latency rather than growth.
+    // Without a pump only size cuts fire: the queue is bounded by the
+    // inline cut alone, submission never errors, and backpressure is
+    // served latency rather than growth.
     let mut frontend = ServeFrontend::with_clock(
         Ranker::new(
             RankingArtifact::snapshot(&model, &kernel),
@@ -233,7 +233,6 @@ fn queue_never_grows_past_max_batch() {
         ),
         FrontendConfig {
             max_batch: 16,
-            max_wait: Duration::from_secs(3600),
             ..Default::default()
         },
         Box::new(ManualClock::new()),
@@ -249,7 +248,7 @@ fn queue_never_grows_past_max_batch() {
     assert_eq!(frontend.stats().cuts_full, 1);
     assert_eq!(frontend.pending_len(), 4);
     assert_eq!(frontend.completed_len(), 16);
-    frontend.flush();
+    frontend.pump();
     assert_eq!(frontend.pending_len(), 0);
     assert_eq!(frontend.stats().served, 20);
 }
@@ -316,7 +315,7 @@ fn tickets_redeem_exactly_once_in_any_order() {
         },
     );
     let tickets: Vec<Ticket> = reqs.iter().map(|r| frontend.submit(r.clone())).collect();
-    frontend.flush();
+    frontend.pump();
     // Claim in reverse submission order; peek first, then take, then the
     // ticket is spent.
     for (ticket, want) in tickets.iter().zip(&want).rev() {
@@ -344,7 +343,6 @@ fn discarded_tickets_do_not_accumulate() {
         ),
         FrontendConfig {
             max_batch: 8,
-            max_wait: Duration::from_secs(3600),
             ..Default::default()
         },
         Box::new(ManualClock::new()),
@@ -357,7 +355,7 @@ fn discarded_tickets_do_not_accumulate() {
     // queue and never served.
     assert!(frontend.discard(tickets[1]));
     assert_eq!(frontend.pending_len(), 3);
-    assert_eq!(frontend.flush(), 3);
+    assert_eq!(frontend.pump(), 3);
     assert!(frontend.try_take(tickets[1]).is_none());
     // Abandon one after serving: its unclaimed response is dropped.
     assert_eq!(frontend.completed_len(), 3);

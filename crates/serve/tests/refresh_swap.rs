@@ -173,7 +173,6 @@ fn refreshed_artifact_swaps_live_with_zero_post_swap_misses() {
         Ranker::new(artifact_v1.clone(), serve_cfg()),
         FrontendConfig {
             max_batch: 8,
-            max_wait: Duration::from_micros(500),
             queue_capacity: 32,
             ..Default::default()
         },
@@ -247,7 +246,7 @@ fn refreshed_artifact_swaps_live_with_zero_post_swap_misses() {
         .iter()
         .map(|r| frontend.try_submit(r.clone()).expect("replay admitted"))
         .collect();
-    frontend.flush();
+    frontend.pump();
     let (_, misses_after) = frontend.ranker().cache_stats();
     assert_eq!(
         misses_after - misses_before,

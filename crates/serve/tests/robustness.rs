@@ -321,9 +321,8 @@ fn nan_kernel_block_fails_only_touching_requests() {
 
 /// SLO admission: a request still queued past its SLO at cut time completes
 /// as [`RankOutcome::Expired`] without touching the pool; requests within
-/// budget in the same cut serve bitwise normally, and a tight SLO pulls the
-/// deadline cut *earlier* than `max_wait` so an in-budget request is served
-/// just in time rather than expired.
+/// budget in the same cut serve bitwise normally, and a cut at exactly the
+/// SLO serves the request just in time rather than expiring it.
 #[test]
 fn slo_expiry_sheds_only_late_requests() {
     let data = data();
@@ -350,21 +349,15 @@ fn slo_expiry_sheds_only_late_requests() {
         ),
         FrontendConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(10),
             ..Default::default()
         },
         Box::new(clock.clone()),
     );
 
-    // Tight-SLO request: due at 2 ms, well before max_wait.
+    // Tight-SLO request: due at 2 ms.
     let t_tight = frontend.try_submit(reqs[0].clone().with_slo(Duration::from_millis(2)));
     let t_plain = frontend.try_submit(reqs[1].clone());
     let (t_tight, t_plain) = (t_tight.unwrap(), t_plain.unwrap());
-    assert_eq!(
-        frontend.time_to_next_cut(),
-        Some(Duration::from_millis(2)),
-        "tight SLO must pull the deadline cut earlier than max_wait"
-    );
 
     // At exactly the SLO the cut serves the request just in time
     // (expiry is strictly `waited > slo`).
@@ -380,7 +373,7 @@ fn slo_expiry_sheds_only_late_requests() {
     );
 
     // Now a request that is already past its SLO when the cut happens:
-    // submitted with a 1 ms budget, cut 5 ms later by a sibling deadline.
+    // submitted with a 1 ms budget, cut 5 ms later with a sibling.
     let t_late = frontend
         .try_submit(reqs[2].clone().with_slo(Duration::from_millis(1)))
         .unwrap();
@@ -438,7 +431,7 @@ fn try_submit_sheds_at_queue_capacity() {
     // The infallible path is exempt from admission (it cuts inline instead).
     let t2 = frontend.submit(reqs[2].clone());
 
-    assert_eq!(frontend.flush(), 3);
+    assert_eq!(frontend.pump(), 3);
     for t in [t0, t1, t2] {
         assert_eq!(
             frontend
@@ -529,7 +522,7 @@ fn degraded_mode_matches_direct_rerank_head() {
 
     // Below the watermark, the same frontend serves the full path again.
     let t = frontend.try_submit(reqs[0].clone()).unwrap();
-    assert_eq!(frontend.flush(), 1);
+    assert_eq!(frontend.pump(), 1);
     let resp = frontend.try_take(t).expect("served");
     assert!(!resp.degraded, "below watermark: no degradation");
     assert_same(&resp, &want_full[0], "recovered full path");
@@ -562,7 +555,7 @@ fn response_ttl_sweeps_unclaimed_responses() {
 
     let abandoned = frontend.try_submit(reqs[0].clone()).unwrap();
     let claimed = frontend.try_submit(reqs[1].clone()).unwrap();
-    frontend.flush();
+    frontend.pump();
     assert!(frontend.try_take(claimed).is_some());
     assert_eq!(frontend.completed_len(), 1);
 
@@ -634,7 +627,7 @@ fn swap_under_traffic_is_bitwise_per_generation() {
         .iter()
         .map(|r| frontend.try_submit(r.clone()).unwrap())
         .collect();
-    frontend.flush();
+    frontend.pump();
     for (ticket, want) in tickets.iter().zip(want_a.iter()) {
         let resp = frontend.try_take(*ticket).expect("gen-1 ticket");
         assert_eq!(resp.generation, 1);
@@ -657,7 +650,7 @@ fn swap_under_traffic_is_bitwise_per_generation() {
     assert_eq!(frontend.swap_log()[0].report, report);
 
     let (_, misses_before) = frontend.ranker().cache_stats();
-    frontend.flush();
+    frontend.pump();
     let (_, misses_after) = frontend.ranker().cache_stats();
     assert_eq!(
         misses_after - misses_before,
@@ -702,7 +695,7 @@ fn frontend_counts_contained_failures() {
             .iter()
             .map(|r| frontend.try_submit(r.clone()).unwrap())
             .collect();
-        frontend.flush();
+        frontend.pump();
         for (ticket, clean) in tickets.iter().zip(want.iter()) {
             let resp = frontend.try_take(*ticket).expect("all tickets complete");
             match resp.user {

@@ -18,9 +18,8 @@
 //!    `O(|C|²·d)` kernel assembly.
 
 use lkp::prelude::*;
-use lkp::serve::{FrontendConfig, ManualClock, ServeFrontend, Ticket};
+use lkp::serve::{FrontendConfig, ServeFrontend, Ticket};
 use rand::SeedableRng;
-use std::time::Duration;
 
 fn main() {
     // A compact world so the example runs in seconds.
@@ -91,10 +90,9 @@ fn main() {
     );
     let want = direct.rank_batch(&stream);
 
-    // The frontend: micro-batches of ≤ 32 cut by size or a
-    // 2 ms deadline (driven deterministically here via a manual clock).
-    let clock = ManualClock::new();
-    let mut frontend = ServeFrontend::with_clock(
+    // The frontend: micro-batches of ≤ 32, cut inline once 32 are pending
+    // or by `pump` with whatever is pending.
+    let mut frontend = ServeFrontend::new(
         Ranker::new(
             artifact,
             ServeConfig {
@@ -104,10 +102,8 @@ fn main() {
         ),
         FrontendConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             ..Default::default()
         },
-        Box::new(clock.clone()),
     );
 
     // Plan-aware pre-warming: the hot users' pairs are known ahead of
@@ -119,17 +115,16 @@ fn main() {
     assert_eq!(warmed, plan.len(), "the whole plan fits the cache budget");
     println!("prewarmed {warmed} hot (user, candidate-set) pairs on every worker");
 
-    // Submit one request at a time; every ~50 submissions the stream goes
-    // quiet and the deadline pump picks up the partial batch.
+    // Submit one request at a time; every 50 submissions the stream goes
+    // quiet and the pump serves the partial batch left pending.
     let mut tickets: Vec<Ticket> = Vec::new();
     for (i, req) in stream.iter().enumerate() {
         tickets.push(frontend.submit(req.clone()));
         if i % 50 == 49 {
-            clock.advance(Duration::from_millis(3));
             frontend.pump();
         }
     }
-    frontend.flush();
+    frontend.pump();
 
     // 1. Frontend == direct batch, bitwise.
     // 2. Prewarmed hot users never miss: each of their responses is a hit.
@@ -157,13 +152,14 @@ fn main() {
 
     let fstats = frontend.stats();
     println!(
-        "frontend: {} requests in {} micro-batches ({} size cuts, {} deadline cuts, {} flush cuts)",
-        fstats.served, fstats.batches, fstats.cuts_full, fstats.cuts_deadline, fstats.cuts_flush
+        "frontend: {} requests in {} micro-batches ({} full, {} partial)",
+        fstats.served, fstats.batches, fstats.cuts_full, fstats.cuts_deadline
     );
     assert_eq!(fstats.served, stream.len() as u64);
+    assert_eq!(fstats.batches, fstats.cuts_full + fstats.cuts_deadline);
     assert!(
         fstats.cuts_deadline > 0,
-        "quiet periods must cut by deadline"
+        "pumping a quiet stream must cut a partial batch"
     );
 
     for resp in want.iter().take(3) {

@@ -143,7 +143,6 @@ fn main() {
         Ranker::new(artifact, dual_config),
         FrontendConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             ..Default::default()
         },

@@ -146,7 +146,6 @@ fn main() {
         Ranker::new(artifact_v1, serve_config),
         FrontendConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             ..Default::default()
         },
@@ -193,13 +192,13 @@ fn main() {
             match frontend.try_submit(r.clone()) {
                 Ok(ticket) => break ticket,
                 Err(SubmitError::QueueFull { .. }) => {
-                    frontend.flush();
+                    frontend.pump();
                 }
                 Err(e) => panic!("unexpected submit error: {e}"),
             }
         })
         .collect();
-    frontend.flush();
+    frontend.pump();
     let (_, misses_after) = frontend.ranker().cache_stats();
     assert_eq!(misses_after - misses_before, 0, "post-swap assembly miss");
     for (ticket, want) in tickets.iter().zip(&want_v2) {
