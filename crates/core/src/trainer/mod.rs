@@ -3,7 +3,7 @@
 //!
 //! Instance generation lives in `lkp-data`'s planning layer: an
 //! [`EpochPlanner`] produces each epoch's [`lkp_data::EpochPlan`] — one
-//! contiguous flat arena of ground sets — under a [`SamplingPolicy`]
+//! contiguous flat arena of ground sets — under a [`lkp_data::SamplingPolicy`]
 //! ([`lkp_data::SamplingPolicy::ResampleEachEpoch`] reproduces the historical inline
 //! sampler draw-for-draw; [`lkp_data::SamplingPolicy::FrozenNegatives`]
 //! reuses the first epoch's plan for the whole run). The plan's
@@ -25,17 +25,17 @@
 //!
 //! The module splits along that pipeline:
 //!
-//! * [`config`] — [`TrainConfig`].
-//! * [`fit`] — [`Trainer::fit`] / [`Trainer::fit_with_callback`] (the cold
+//! * `config` — [`TrainConfig`].
+//! * `fit` — [`Trainer::fit`] / [`Trainer::fit_with_callback`] (the cold
 //!   path) and [`Trainer::fit_state`], which additionally exports the
 //!   [`TrainedState`] warm-start token.
-//! * [`update`] — [`Trainer::update`]: the delta-fit pass. It merges a
+//! * `update` — [`Trainer::update`]: the delta-fit pass. It merges a
 //!   [`lkp_data::DatasetDelta`], freezes unchanged users' plan records, and
 //!   runs the *same* epoch engine for a handful of refresh epochs.
-//! * [`report`] — [`TrainReport`], [`TrainedState`], [`RefreshReport`].
+//! * `report` — [`TrainReport`], [`TrainedState`], [`RefreshReport`].
 //!
-//! Both `fit` and `update` drive one private epoch engine ([`run_epochs`])
-//! over a [`PlanSource`]; `fit` is exactly the full-plan, resampling
+//! Both `fit` and `update` drive one private epoch engine (`run_epochs`)
+//! over a `PlanSource`; `fit` is exactly the full-plan, resampling
 //! special case, and stays bitwise identical to the historical single-file
 //! trainer.
 

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! which runs in `O(m·k)` time. The gradient of `log Z_k` additionally needs
-//! the *leave-one-out* polynomials `e_{k-1}(λ_{-i})` (one for each `i`), and
-//! k-DPP sampling needs the full DP table; both are provided here.
+//! the *leave-one-out* polynomials `e_{k-1}(λ_{-i})` (one for each `i`),
+//! which are provided here too.
 
 /// Computes `e_k(λ)` with the paper's Algorithm 1 in `O(m·k)`.
 ///
@@ -60,27 +60,6 @@ pub fn elementary_symmetric_all_into(eigenvalues: &[f64], k: usize, e: &mut Vec<
             e[l] += lambda * e[l - 1];
         }
     }
-}
-
-/// The full DP table `E[l][m] = e_l(λ_1..λ_m)` of the paper's Algorithm 1,
-/// with `0 ≤ l ≤ k` and `0 ≤ m ≤ len(λ)`.
-///
-/// Required by exact k-DPP sampling (the eigenvector-selection phase walks
-/// this table backwards).
-pub fn esp_table(eigenvalues: &[f64], k: usize) -> Vec<Vec<f64>> {
-    let m = eigenvalues.len();
-    // lint:allow(hotpath-alloc): the DP table is built once per sampling
-    // call, not per training instance; exact sampling is offline-only.
-    let mut table = vec![vec![0.0; m + 1]; k + 1];
-    for col in table[0].iter_mut() {
-        *col = 1.0;
-    }
-    for l in 1..=k {
-        for j in 1..=m {
-            table[l][j] = table[l][j - 1] + eigenvalues[j - 1] * table[l - 1][j - 1];
-        }
-    }
-    table
 }
 
 /// Reusable scratch for [`leave_one_out_into`]: the prefix/suffix ESP tables.
@@ -245,24 +224,6 @@ mod tests {
         let all = elementary_symmetric_all(&lambda, 4);
         for (k, &value) in all.iter().enumerate() {
             assert!((value - elementary_symmetric(&lambda, k)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn table_last_column_matches_esp() {
-        let lambda = [0.3, 1.2, 0.9, 2.2, 0.05];
-        let k = 3;
-        let table = esp_table(&lambda, k);
-        for (l, row) in table.iter().enumerate() {
-            assert!(
-                (row[lambda.len()] - elementary_symmetric(&lambda, l)).abs() < 1e-12,
-                "l={l}"
-            );
-        }
-        // Column m=0: e_0 = 1, e_l = 0 for l>0 — the paper's initialization.
-        assert_eq!(table[0][0], 1.0);
-        for row in table.iter().skip(1) {
-            assert_eq!(row[0], 0.0);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Determinantal point processes (DPPs) and fixed-cardinality k-DPPs.
 //!
-//! This crate implements every DPP primitive the paper's LkP criterion rests
-//! on, plus the standard inference tooling a DPP library is expected to ship:
+//! This crate implements the DPP primitives the paper's LkP criterion rests
+//! on, and the greedy MAP inference that serves ranked lists:
 //!
 //! * [`esp`] — elementary symmetric polynomials over kernel eigenvalues,
 //!   including the paper's Algorithm 1 and the leave-one-out variants needed
@@ -12,25 +12,19 @@
 //!   exact log-probabilities (Eq. 4), and brute-force references for tests.
 //! * [`grad`] — analytic gradients of `log det(L_S)` and `log e_k(λ(L))`
 //!   with respect to the kernel entries (Eq. 12).
-//! * [`sampling`] — exact DPP and k-DPP sampling (Kulesza & Taskar).
 //! * [`map`] — fast greedy MAP inference (Chen et al., NeurIPS 2018).
 //! * [`map_dual`] — the same greedy recursion run directly on a thin row
 //!   factor `B` (kernel `B·Bᵀ + ε·I` never materialized): `O(m·d·N)` serving
 //!   MAP with a numerical-breakdown guard for dense fallback.
 //! * [`lowrank`] — low-rank diversity kernels `K = V·Vᵀ` with log-det
 //!   gradients, used to pre-train the paper's diversity kernel (Eq. 3).
-//! * [`conditional`] — DPPs conditioned on inclusion/exclusion of item sets
-//!   (basket completion, out-of-stock filtering).
-//! * [`dual`] — the `d × d` dual representation of low-rank kernels:
-//!   catalog-scale normalization and exact k-DPP sampling without ever
-//!   forming the `M × M` kernel.
 //! * [`workspace`] — the allocation-free per-instance training hot path:
 //!   one reusable [`DppWorkspace`] fuses kernel assembly, (dense or dual)
 //!   eigendecomposition, ESP normalizer, and gradient chain per instance.
+//! * [`batch`] — the same pipeline split into stages over a uniform-size
+//!   dispatch, so its eigenproblems are solved back-to-back.
 
 pub mod batch;
-pub mod conditional;
-pub mod dual;
 pub mod esp;
 pub mod grad;
 pub mod kdpp;
@@ -38,11 +32,9 @@ pub mod kernel;
 pub mod lowrank;
 pub mod map;
 pub mod map_dual;
-pub mod sampling;
 pub mod workspace;
 
 pub use batch::{BatchSlot, DppBatchArena};
-pub use dual::DualSpectrum;
 pub use kdpp::KDpp;
 pub use kernel::DppKernel;
 pub use lowrank::LowRankKernel;

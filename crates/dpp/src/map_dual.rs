@@ -10,8 +10,8 @@
 //! `O(m·(d + |S|))`, so a full top-`N` list is `O(m·N·(d + N))` — linear in
 //! the candidate count, versus `O(m²·d)` for dense assembly alone. This is
 //! the dual-representation treatment of the serving path (Kulesza & Taskar
-//! §3.3; Gartrell et al.'s low-rank DPP serving): the training side has had
-//! the analogous `d × d` dual spectral path in [`crate::dual`] since PR 1.
+//! §3.3; Gartrell et al.'s low-rank DPP serving); the training side's
+//! analogous `d × d` dual spectral path lives in [`crate::workspace`].
 //!
 //! The recursion subtracts squared Cholesky coefficients from running
 //! residual norms, which can cancel catastrophically on near-singular

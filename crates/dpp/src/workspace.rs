@@ -379,7 +379,7 @@ impl DppWorkspace {
 
     /// Runs everything downstream of the eigen stage for a staged-and-solved
     /// arena slot: loads the slot's spectrum into the workspace and completes
-    /// the pipeline via the shared [`DppWorkspace::finish_from_spectrum`].
+    /// the pipeline via the shared `DppWorkspace::finish_from_spectrum`.
     /// Returns `None` for skipped slots, failed (invalidated)
     /// decompositions — the same instances the inline path skips — and for
     /// slots the arena's solve pass never reached (`solve_all` advances
@@ -766,6 +766,7 @@ fn scatter_block(out: &mut Matrix, block: &Matrix, range: std::ops::Range<usize>
 mod tests {
     use super::*;
     use crate::{grad, DppKernel, KDpp, LowRankKernel};
+    use proptest::prelude::*;
 
     /// Cold-path reference: the same loss/gradient computed through the
     /// allocating KDpp/grad types, with the identical L-space jitter.
@@ -1101,6 +1102,66 @@ mod tests {
             .tailored_loss_grad(&example_scores(m), &k_sub, Some(&v_t), 2, false, 1e-6, 30.0)
             .unwrap();
         assert_eq!(res.path, SpectrumPath::Dense);
+    }
+
+    /// Spectrum of the last call, largest first.
+    fn sorted_lambda(ws: &DppWorkspace) -> Vec<f64> {
+        let mut lambda = ws.lambda.clone();
+        lambda.sort_by(|a, b| b.total_cmp(a));
+        lambda
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dual_spectrum_matches_dense_spectrum(
+            data in proptest::collection::vec(-1.0..1.0_f64, 12 * 6),
+            m in 6usize..=12,
+            d in 1usize..=5,
+            k in 1usize..=6,
+        ) {
+            // Random thin factors `V` (m × d, d < m) through the training
+            // entry point: the dual path's `d × d` spectrum plus its flat
+            // `ε` completion must reproduce the dense `m × m` spectrum and
+            // the normalizer `log e_k(λ)` built from it.
+            let v = Matrix::from_vec(m, d, data[..m * d].to_vec());
+            let kernel = LowRankKernel::new(v);
+            let idx: Vec<usize> = (0..m).collect();
+            let k_sub = kernel.submatrix(&idx).unwrap();
+            let v_t = kernel.factor().gather_rows(&idx).unwrap();
+            let scores: Vec<f64> = data[m * d..][..m].iter().map(|x| 0.5 * x).collect();
+
+            let mut ws_dense = DppWorkspace::new();
+            let dense = ws_dense.tailored_loss_grad(&scores, &k_sub, None, k, false, 1e-6, 30.0);
+            let mut ws_dual = DppWorkspace::new();
+            let dual = ws_dual.tailored_loss_grad(&scores, &k_sub, Some(&v_t), k, false, 1e-6, 30.0);
+            let (Some(dense), Some(dual)) = (dense, dual) else {
+                return Err(format!("m={m} d={d} k={k}: an instance was skipped"));
+            };
+            prop_assert_eq!(dense.path, SpectrumPath::Dense);
+            prop_assert_eq!(dual.path, SpectrumPath::Dual);
+
+            let (lambda_dense, lambda_dual) = (sorted_lambda(&ws_dense), sorted_lambda(&ws_dual));
+            prop_assert_eq!(lambda_dense.len(), m);
+            prop_assert_eq!(lambda_dual.len(), m);
+            for (i, (a, b)) in lambda_dense.iter().zip(&lambda_dual).enumerate() {
+                prop_assert!(
+                    (a - b).abs() <= 1e-7 * a.abs().max(1.0),
+                    "eigenvalue {i}: dense {a} vs dual {b}"
+                );
+            }
+            let z_dense = esp::log_elementary_symmetric(&lambda_dense, k);
+            let z_dual = esp::log_elementary_symmetric(&lambda_dual, k);
+            prop_assert!(
+                (z_dense - z_dual).abs() <= 1e-7 * z_dense.abs().max(1.0),
+                "log Z_{k}: dense {z_dense} vs dual {z_dual}"
+            );
+            prop_assert!(
+                (dense.loss - dual.loss).abs() <= 1e-7 * dense.loss.abs().max(1.0),
+                "loss: dense {} vs dual {}", dense.loss, dual.loss
+            );
+        }
     }
 
     #[test]

@@ -235,55 +235,6 @@ proptest! {
     }
 
     #[test]
-    fn conditioning_on_exclusion_renormalizes(kernel in psd_kernel(5), excluded in 0usize..5) {
-        // The conditional law over the complement must itself be a valid
-        // standard DPP: total probability 1 over all remaining subsets.
-        let cond = lkp_dpp::conditional::condition_on_exclusion(&kernel, &[excluded]).unwrap();
-        let mut total = 0.0;
-        for k in 0..=4 {
-            for s in enumerate_subsets(4, k) {
-                total += cond.kernel.standard_dpp_log_prob(&s).unwrap().exp();
-            }
-        }
-        prop_assert!((total - 1.0).abs() < 1e-7, "conditional total {total}");
-    }
-
-    #[test]
-    fn conditional_marginals_exceed_unconditional_for_dissimilar_items(kernel in psd_kernel(4)) {
-        // Inclusion conditioning redistributes mass but keeps marginals in
-        // [0, 1]; verify range plus the law of total probability against the
-        // joint enumeration.
-        for item in 1..4 {
-            let p = lkp_dpp::conditional::inclusion_conditional_marginal(&kernel, &[0], item);
-            if let Ok(p) = p {
-                prop_assert!((0.0..=1.0).contains(&p), "marginal {p} out of range");
-            }
-        }
-    }
-
-    #[test]
-    fn dual_spectrum_matches_full_kernel(data in proptest::collection::vec(-1.0..1.0_f64, 6 * 3)) {
-        let v = Matrix::from_vec(6, 3, data);
-        let lowrank = lkp_dpp::LowRankKernel::new(v);
-        let Ok(dual) = lkp_dpp::dual::DualSpectrum::new(&lowrank, 1e-10) else {
-            return Ok(()); // numerically zero kernel — nothing to check
-        };
-        let full = DppKernel::new(lowrank.full_matrix()).unwrap();
-        let mut full_lambda = full.nonneg_eigenvalues().unwrap();
-        full_lambda.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        for (i, &l) in dual.eigenvalues().iter().enumerate() {
-            prop_assert!((l - full_lambda[i]).abs() < 1e-7 * l.max(1.0),
-                "eigenvalue {i}: dual {l} vs full {}", full_lambda[i]);
-        }
-        // Normalizers agree wherever both are defined.
-        for k in 1..=dual.rank() {
-            let dual_z = dual.log_normalizer(k);
-            let full_z = lkp_dpp::esp::log_elementary_symmetric(&full_lambda, k);
-            prop_assert!((dual_z - full_z).abs() < 1e-6, "k={k}: {dual_z} vs {full_z}");
-        }
-    }
-
-    #[test]
     fn fast_leave_one_out_matches_brute_force(lambda in eigenvalues(9), k in 0usize..=8) {
         // The O(m·k) prefix/suffix merge against the O(m²·k) direct
         // recomputation, at ≤1e-10 relative error (acceptance bound).
@@ -299,18 +250,31 @@ proptest! {
     }
 
     #[test]
-    fn esp_all_matches_esp_table_last_column(lambda in eigenvalues(7), k in 0usize..=7) {
-        // elementary_symmetric_all must agree with the full DP table's last
-        // column — the cross-check pinned when the dead inner bound was
-        // removed from the single-pass recurrence.
-        let all = esp::elementary_symmetric_all(&lambda, k);
-        let table = esp::esp_table(&lambda, k);
-        prop_assert_eq!(all.len(), k + 1);
-        for l in 0..=k {
-            let from_table = table[l][lambda.len()];
+    fn esp_all_into_matches_the_dp_table_recurrence(
+        lambda in eigenvalues(7),
+        k in 0usize..=7,
+        stale in 0usize..=9,
+    ) {
+        // The single-pass `_into` recurrence that training and serving call
+        // against the paper's Algorithm 1 written out as its full table
+        // `E[l][j] = e_l(λ_1..λ_j)`, read at the last column. The buffer
+        // starts at a stale length to check that the call resets it.
+        let m = lambda.len();
+        let mut table = vec![vec![0.0; m + 1]; k + 1];
+        table[0].fill(1.0);
+        for l in 1..=k {
+            for j in 1..=m {
+                table[l][j] = table[l][j - 1] + lambda[j - 1] * table[l - 1][j - 1];
+            }
+        }
+        let mut e = vec![f64::NAN; stale];
+        esp::elementary_symmetric_all_into(&lambda, k, &mut e);
+        prop_assert_eq!(e.len(), k + 1);
+        for (l, row) in table.iter().enumerate() {
+            let want = row[m];
             prop_assert!(
-                (all[l] - from_table).abs() <= 1e-12 * from_table.abs().max(1.0),
-                "l={l}: all {} vs table {from_table}", all[l]
+                (e[l] - want).abs() <= 1e-12 * want.abs().max(1.0),
+                "l={l}: into {} vs table {want}", e[l]
             );
         }
     }

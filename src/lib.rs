@@ -54,7 +54,7 @@
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
 //! | [`linalg`] | `lkp-linalg` | matrices, LU/Cholesky/eigen, CSR |
-//! | [`dpp`] | `lkp-dpp` | ESPs, k-DPPs, sampling, greedy MAP, gradients |
+//! | [`dpp`] | `lkp-dpp` | ESPs, k-DPPs, gradients, training workspace, greedy MAP |
 //! | [`data`] | `lkp-data` | datasets, synthetic presets, ground-set samplers |
 //! | [`nn`] | `lkp-nn` | dense layers, embeddings, Adam |
 //! | [`models`] | `lkp-models` | MF, GCN, NeuMF, GCMC |

@@ -1,7 +1,7 @@
 //! Integration tests for the DPP toolkit as used by downstream crates:
 //! kernels built from real model scores + a trained diversity kernel.
 
-use lkp::dpp::{enumerate_subsets, grad, map, sampling};
+use lkp::dpp::{enumerate_subsets, grad, map};
 use lkp::prelude::*;
 use rand::SeedableRng;
 
@@ -83,14 +83,14 @@ fn kdpp_probabilities_over_realistic_kernels_sum_to_one() {
 }
 
 #[test]
-fn sampling_map_and_enumeration_agree_on_the_mode_region() {
+fn greedy_map_lands_in_the_mode_region_of_the_enumeration() {
     let (data, kernel, model) = setup();
     let items: Vec<usize> = vec![1, 9, 23, 31, 47, 59, 66, 81];
     let kern = instance_kernel(&data, &kernel, &model, 5, &items);
 
     // Greedy MAP's set should rank in the top quartile of all 3-subsets.
     let map_result = map::greedy_map(&kern, 3).expect("valid kernel");
-    let kdpp = KDpp::new(kern.clone(), 3).expect("valid");
+    let kdpp = KDpp::new(kern, 3).expect("valid");
     let mut sorted: Vec<f64> = enumerate_subsets(8, 3)
         .iter()
         .map(|s| kdpp.prob(s).expect("size matches"))
@@ -103,14 +103,6 @@ fn sampling_map_and_enumeration_agree_on_the_mode_region() {
         map_prob >= sorted[sorted.len() / 4],
         "greedy MAP probability {map_prob} below top quartile"
     );
-
-    // Exact k-DPP samples must all have cardinality 3 and be in range.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-    for _ in 0..50 {
-        let s = sampling::sample_kdpp(&kdpp, &mut rng).expect("sampler works");
-        assert_eq!(s.len(), 3);
-        assert!(s.iter().all(|&i| i < 8));
-    }
 }
 
 #[test]
