@@ -133,11 +133,6 @@ impl Dataset {
         self.item_category[item]
     }
 
-    /// Borrow the full item→category map.
-    pub fn item_categories(&self) -> &[usize] {
-        &self.item_category
-    }
-
     /// A user's interactions in the given split (train is chronological).
     pub fn user_items(&self, user: usize, split: Split) -> &[usize] {
         match split {

@@ -143,12 +143,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrow the raw row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consume the matrix, returning the row-major data.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -372,11 +366,6 @@ impl Matrix {
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
 
     /// Largest absolute difference between two same-shape matrices.

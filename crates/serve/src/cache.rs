@@ -1,22 +1,20 @@
 //! The bounded per-worker cache of per-candidate-set kernel blocks.
 //!
-//! The per-request kernel work depends only on the candidate set — `K_C =
-//! V_C·V_Cᵀ` for the dense path, the raw factor rows `V_C` for the dual path
-//! — so for the common serving shape (each user's candidate pool is stable
-//! across requests) it is worth paying once and amortizing. Every pool
-//! worker owns a private [`per_worker::KernelCache`] (no locks); a user's
-//! block is built once *per worker* that serves them.
+//! The per-request kernel work that depends only on the candidate set is
+//! the diversity submatrix `K_C = V_C·V_Cᵀ`, so for the common serving
+//! shape (each user's candidate pool is stable across requests) it is worth
+//! paying once and amortizing. Every pool worker owns a private
+//! [`per_worker::KernelCache`] (no locks); a user's block is built once
+//! *per worker* that serves them.
 //!
-//! An entry holds one of two [`EntryForm`]s: a `|C|×|C|` dense submatrix
-//! (`O(|C|²)` bytes) or a `|C|×d` factor block (`O(|C|·d)` bytes). Because
-//! the forms differ in size by orders of magnitude at catalog-scale `|C|`,
-//! capacity is a **byte budget**, not an entry count: eviction shrinks the
-//! resident set oldest-first until it fits the budget in bytes, so one dense
-//! entry no longer costs the same as a factor entry ~`|C|/d` times smaller.
+//! An entry holds the candidate list and the `|C|×|C|` block, so its size
+//! grows with `|C|²` and capacity is a **byte budget**, not an entry count:
+//! eviction shrinks the resident set oldest-first until it fits the budget
+//! in bytes, so one 1600-candidate entry is charged what it occupies rather
+//! than the same slot as a 100-candidate one.
 //!
 //! Entries are bit-exact copies of what a miss recomputes
-//! ([`lkp_dpp::LowRankKernel::submatrix_into`] and
-//! [`lkp_dpp::LowRankKernel::gather_rows_into`] are deterministic), so cache
+//! ([`lkp_dpp::LowRankKernel::submatrix_into`] is deterministic), so cache
 //! hits — on any worker, at any pool width — can never change a served
 //! list.
 
@@ -28,37 +26,20 @@ use lkp_dpp::LowRankKernel;
 use lkp_linalg::Matrix;
 use std::collections::HashMap;
 
-/// Which block a cache entry (or a lookup) carries. The form is part of hit
-/// validation alongside the exact candidate list: a mode flip between
-/// requests rebuilds the entry instead of serving the wrong shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EntryForm {
-    /// Dense diversity submatrix `K_C = V_C·V_Cᵀ` (`|C| × |C|`).
-    Dense,
-    /// Raw factor rows `V_C` (`|C| × d`) for the dual MAP path.
-    Factor,
-}
-
-/// Bytes an entry of `form` occupies for `c` candidates against a rank-`d`
-/// kernel: the candidate list plus the block, both 8-byte elements. Used to
-/// size prospective entries *before* paying the assembly (prewarm refusal).
-pub(crate) fn entry_bytes(form: EntryForm, c: usize, d: usize) -> usize {
-    let block = match form {
-        EntryForm::Dense => c * c,
-        EntryForm::Factor => c * d,
-    };
-    8 * (c + block)
+/// Bytes an entry occupies for `c` candidates: the candidate list plus the
+/// `c × c` block, both 8-byte elements. Used to size prospective entries
+/// *before* paying the assembly (prewarm refusal).
+pub(crate) fn entry_bytes(c: usize) -> usize {
+    8 * (c + c * c)
 }
 
 /// One cached `(user, candidate-set)` block. Entries are keyed by user and
-/// validated against the exact candidate list **and** form: a changed pool
-/// (or a dense↔dual mode flip) replaces the entry instead of serving a
-/// stale or wrong-shaped block.
+/// validated against the exact candidate list: a changed pool replaces the
+/// entry instead of serving a stale block.
 #[derive(Clone)]
 pub(crate) struct CacheEntry {
     pub(crate) candidates: Vec<usize>,
-    pub(crate) form: EntryForm,
-    /// `K_C` (Dense) or `V_C` (Factor).
+    /// `K_C`.
     pub(crate) block: Matrix,
     pub(crate) last_used: u64,
 }
@@ -69,7 +50,6 @@ impl CacheEntry {
             // lint:allow(hotpath-alloc): empty placeholder built once per
             // cache slot; refills reuse the buffer via `fill`.
             candidates: Vec::new(),
-            form: EntryForm::Dense,
             block: Matrix::zeros(0, 0),
             last_used: 0,
         }
@@ -80,23 +60,14 @@ impl CacheEntry {
         8 * (self.candidates.len() + self.block.rows() * self.block.cols())
     }
 
-    /// (Re)fills the entry for `candidates` in `form`, building into the
-    /// reused matrix buffer.
-    pub(crate) fn fill(
-        &mut self,
-        candidates: &[usize],
-        kernel: &LowRankKernel,
-        form: EntryForm,
-        tick: u64,
-    ) {
+    /// (Re)fills the entry for `candidates`, building into the reused
+    /// matrix buffer.
+    pub(crate) fn fill(&mut self, candidates: &[usize], kernel: &LowRankKernel, tick: u64) {
         self.candidates.clear();
         self.candidates.extend_from_slice(candidates);
-        self.form = form;
-        match form {
-            EntryForm::Dense => kernel.submatrix_into(candidates, &mut self.block),
-            EntryForm::Factor => kernel.gather_rows_into(candidates, &mut self.block),
-        }
-        .expect("candidates validated by caller");
+        kernel
+            .submatrix_into(candidates, &mut self.block)
+            .expect("candidates validated by caller");
         self.last_used = tick;
     }
 }
@@ -151,8 +122,8 @@ pub struct WorkerCacheStats {
     pub prewarmed: u64,
     /// Entries currently resident.
     pub resident: usize,
-    /// Bytes currently resident (candidate lists + blocks); dense entries
-    /// cost `O(|C|²)`, factor entries `O(|C|·d)`.
+    /// Bytes currently resident (candidate lists + blocks); an entry costs
+    /// `O(|C|²)`.
     pub resident_bytes: usize,
 }
 

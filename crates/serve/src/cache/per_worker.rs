@@ -1,12 +1,12 @@
 //! The per-worker (lock-free) kernel cache.
 
-use super::{entry_bytes, evict_lru, CacheEntry, EntryForm, WorkerCacheStats};
+use super::{entry_bytes, evict_lru, CacheEntry, WorkerCacheStats};
 use lkp_dpp::LowRankKernel;
 use lkp_linalg::Matrix;
 use std::collections::HashMap;
 
-/// A bounded per-user cache of candidate-set kernel blocks (dense `K_C` or
-/// factor `V_C`, see [`EntryForm`]), owned by one pool worker (no locks).
+/// A bounded per-user cache of candidate-set kernel blocks `K_C`, owned by
+/// one pool worker (no locks).
 ///
 /// Eviction is least-recently-used over a **byte** budget, and every call
 /// shrinks the cache **down to** the current `budget` — so lowering the
@@ -33,16 +33,14 @@ pub(crate) struct KernelCache {
 }
 
 impl KernelCache {
-    /// Returns the kernel block for `(user, candidates)` in `form` and
-    /// whether it was served from cache. `budget` is this worker's byte
-    /// budget.
+    /// Returns the kernel block for `(user, candidates)` and whether it was
+    /// served from cache. `budget` is this worker's byte budget.
     pub(crate) fn get_or_build(
         &mut self,
         user: usize,
         candidates: &[usize],
         kernel: &LowRankKernel,
         budget: usize,
-        form: EntryForm,
     ) -> (&Matrix, bool) {
         self.tick += 1;
         if budget == 0 {
@@ -51,15 +49,13 @@ impl KernelCache {
             self.bypasses += 1;
             self.entries.clear();
             self.bytes = 0;
-            match form {
-                EntryForm::Dense => kernel.submatrix_into(candidates, &mut self.uncached),
-                EntryForm::Factor => kernel.gather_rows_into(candidates, &mut self.uncached),
-            }
-            .expect("candidates validated by caller");
+            kernel
+                .submatrix_into(candidates, &mut self.uncached)
+                .expect("candidates validated by caller");
             return (&self.uncached, false);
         }
         if let Some(entry) = self.entries.get_mut(&user) {
-            if entry.candidates == candidates && entry.form == form {
+            if entry.candidates == candidates {
                 entry.last_used = self.tick;
                 self.hits += 1;
                 // The hit has the newest tick, so it survives the shrink at
@@ -75,7 +71,7 @@ impl KernelCache {
             }
         }
         self.misses += 1;
-        self.fill_entry(user, candidates, kernel, form);
+        self.fill_entry(user, candidates, kernel);
         evict_lru(
             &mut self.entries,
             &mut self.bytes,
@@ -86,17 +82,11 @@ impl KernelCache {
     }
 
     /// (Re)builds `user`'s entry, keeping the byte ledger in lockstep.
-    fn fill_entry(
-        &mut self,
-        user: usize,
-        candidates: &[usize],
-        kernel: &LowRankKernel,
-        form: EntryForm,
-    ) {
+    fn fill_entry(&mut self, user: usize, candidates: &[usize], kernel: &LowRankKernel) {
         let tick = self.tick;
         let entry = self.entries.entry(user).or_insert_with(CacheEntry::empty);
         let old = entry.bytes();
-        entry.fill(candidates, kernel, form, tick);
+        entry.fill(candidates, kernel, tick);
         let new = entry.bytes();
         self.bytes = self.bytes - old + new;
     }
@@ -108,19 +98,16 @@ impl KernelCache {
     /// resident user with a different pool keeps its pool. Anything else
     /// would silently break the "first request hits" guarantee for a pair
     /// an earlier prewarm already reported warmed. The prospective entry is
-    /// sized *before* assembly (`d` is the kernel rank), so a refusal costs
-    /// `O(1)`; only an accepted pair calls `fill`, which must leave the
-    /// entry holding `candidates`' block in `form`. Returns whether the pair
-    /// is warm (resident with exactly these candidates in `form`) when the
-    /// call returns — built now or already resident; only fresh insertions
-    /// bump the `prewarmed` counter.
+    /// sized *before* assembly, so a refusal costs `O(1)`; only an accepted
+    /// pair calls `fill`, which must leave the entry holding `candidates`'
+    /// block. Returns whether the pair is warm (resident with exactly these
+    /// candidates) when the call returns — built now or already resident;
+    /// only fresh insertions bump the `prewarmed` counter.
     pub(crate) fn prewarm_with(
         &mut self,
         user: usize,
         candidates: &[usize],
-        d: usize,
         budget: usize,
-        form: EntryForm,
         fill: impl FnOnce(&mut CacheEntry),
     ) -> bool {
         if budget == 0 {
@@ -128,13 +115,13 @@ impl KernelCache {
         }
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&user) {
-            if entry.candidates == candidates && entry.form == form {
+            if entry.candidates == candidates {
                 entry.last_used = self.tick;
                 return true;
             }
             return false;
         }
-        if self.bytes + entry_bytes(form, candidates.len(), d) > budget {
+        if self.bytes + entry_bytes(candidates.len()) > budget {
             return false;
         }
         self.prewarmed += 1;
@@ -153,10 +140,9 @@ impl KernelCache {
         candidates: &[usize],
         kernel: &LowRankKernel,
         budget: usize,
-        form: EntryForm,
     ) -> bool {
-        self.prewarm_with(user, candidates, kernel.dim(), budget, form, |entry| {
-            entry.fill(candidates, kernel, form, 0)
+        self.prewarm_with(user, candidates, budget, |entry| {
+            entry.fill(candidates, kernel, 0)
         })
     }
 
@@ -201,12 +187,6 @@ impl KernelCache {
         self.entries.len()
     }
 
-    /// Resident bytes.
-    #[cfg(test)]
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.bytes
-    }
-
     /// The `(last_used, user)` pairs evicted by the most recent shrink, in
     /// eviction order (oldest first).
     #[cfg(test)]
@@ -232,7 +212,7 @@ mod tests {
 
     /// Byte budget that fits exactly `n` dense entries of `c` candidates.
     fn dense_budget(n: usize, c: usize) -> usize {
-        n * entry_bytes(EntryForm::Dense, c, 0)
+        n * entry_bytes(c)
     }
 
     #[test]
@@ -241,10 +221,10 @@ mod tests {
         let mut cache = KernelCache::default();
         let cands = vec![1, 4, 7];
         let budget = dense_budget(4, 3);
-        let (first, hit1) = cache.get_or_build(0, &cands, &kern, budget, EntryForm::Dense);
+        let (first, hit1) = cache.get_or_build(0, &cands, &kern, budget);
         let first = first.clone();
         assert!(!hit1);
-        let (second, hit2) = cache.get_or_build(0, &cands, &kern, budget, EntryForm::Dense);
+        let (second, hit2) = cache.get_or_build(0, &cands, &kern, budget);
         assert!(hit2);
         assert_eq!(first.as_slice(), second.as_slice());
         let fresh = kern.submatrix(&cands).unwrap();
@@ -252,45 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn factor_hit_returns_bit_exact_rows() {
-        let kern = kernel();
-        let mut cache = KernelCache::default();
-        let cands = vec![2, 9, 31, 4];
-        let budget = 1 << 20;
-        let (first, hit1) = cache.get_or_build(0, &cands, &kern, budget, EntryForm::Factor);
-        assert!(!hit1);
-        assert_eq!((first.rows(), first.cols()), (4, kern.dim()));
-        let first = first.clone();
-        let (second, hit2) = cache.get_or_build(0, &cands, &kern, budget, EntryForm::Factor);
-        assert!(hit2);
-        assert_eq!(first.as_slice(), second.as_slice());
-        for (r, &i) in cands.iter().enumerate() {
-            assert_eq!(first.row(r), kern.factor().row(i));
-        }
-    }
-
-    #[test]
-    fn form_flip_invalidates_entry() {
-        // Same user, same candidates, other form: must rebuild, not serve
-        // the wrong-shaped block.
-        let kern = kernel();
-        let mut cache = KernelCache::default();
-        let cands = vec![1, 2, 3];
-        let budget = 1 << 20;
-        cache.get_or_build(0, &cands, &kern, budget, EntryForm::Dense);
-        let (m, hit) = cache.get_or_build(0, &cands, &kern, budget, EntryForm::Factor);
-        assert!(!hit);
-        assert_eq!((m.rows(), m.cols()), (3, kern.dim()));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn changed_candidates_invalidate_entry() {
         let kern = kernel();
         let mut cache = KernelCache::default();
         let budget = dense_budget(4, 2);
-        cache.get_or_build(0, &[1, 2], &kern, budget, EntryForm::Dense);
-        let (m, hit) = cache.get_or_build(0, &[2, 3], &kern, budget, EntryForm::Dense);
+        cache.get_or_build(0, &[1, 2], &kern, budget);
+        let (m, hit) = cache.get_or_build(0, &[2, 3], &kern, budget);
         assert!(!hit);
         assert_eq!(m.as_slice(), kern.submatrix(&[2, 3]).unwrap().as_slice());
         assert_eq!(cache.len(), 1);
@@ -301,74 +248,24 @@ mod tests {
         let kern = kernel();
         let mut cache = KernelCache::default();
         let budget = dense_budget(2, 1);
-        cache.get_or_build(0, &[1], &kern, budget, EntryForm::Dense);
-        cache.get_or_build(1, &[2], &kern, budget, EntryForm::Dense);
+        cache.get_or_build(0, &[1], &kern, budget);
+        cache.get_or_build(1, &[2], &kern, budget);
         // Touch user 0 so user 1 is the LRU.
-        cache.get_or_build(0, &[1], &kern, budget, EntryForm::Dense);
-        cache.get_or_build(2, &[3], &kern, budget, EntryForm::Dense);
+        cache.get_or_build(0, &[1], &kern, budget);
+        cache.get_or_build(2, &[3], &kern, budget);
         assert_eq!(cache.len(), 2);
-        let (_, hit_user0) = cache.get_or_build(0, &[1], &kern, budget, EntryForm::Dense);
+        let (_, hit_user0) = cache.get_or_build(0, &[1], &kern, budget);
         assert!(hit_user0, "recently used entry must survive eviction");
-        let (_, hit_user1) = cache.get_or_build(1, &[2], &kern, budget, EntryForm::Dense);
+        let (_, hit_user1) = cache.get_or_build(1, &[2], &kern, budget);
         assert!(!hit_user1, "LRU entry must have been evicted");
-    }
-
-    #[test]
-    fn byte_budget_holds_more_factor_than_dense_entries() {
-        // The satellite regression: with entry-count capacity a |C|×d factor
-        // entry used to cost a |C|×|C| dense-entry slot. Under a byte budget
-        // sized for 2 dense entries of 20 candidates, the same budget must
-        // hold many 20×3 factor entries (3360 vs 544 bytes here).
-        let kern = kernel();
-        let budget = dense_budget(2, 20);
-        let pool = |u: usize| -> Vec<usize> { (0..20).map(|i| (u * 20 + i) % 300).collect() };
-
-        let mut dense = KernelCache::default();
-        for u in 0..4 {
-            dense.get_or_build(u, &pool(u), &kern, budget, EntryForm::Dense);
-        }
-        assert_eq!(dense.len(), 2, "budget fits exactly 2 dense entries");
-        assert!(dense.resident_bytes() <= budget);
-
-        let fits = budget / entry_bytes(EntryForm::Factor, 20, kern.dim());
-        assert_eq!(fits, 10, "this budget holds 10 factor entries (vs 2 dense)");
-        let mut factor = KernelCache::default();
-        for u in 0..fits {
-            factor.get_or_build(u, &pool(u), &kern, budget, EntryForm::Factor);
-        }
-        assert_eq!(
-            factor.len(),
-            fits,
-            "no factor entry evicted under the budget"
-        );
-        assert!(factor.resident_bytes() <= budget);
-        // All still hit — none was charged a dense-entry slot.
-        for u in 0..fits {
-            let (_, hit) = factor.get_or_build(u, &pool(u), &kern, budget, EntryForm::Factor);
-            assert!(hit, "factor entry {u} must still be resident");
-        }
-
-        // Mixed residency: a dense entry coexists with factor entries as
-        // long as the *bytes* fit, and evicting it frees its full size.
-        let mut mixed = KernelCache::default();
-        mixed.get_or_build(0, &pool(0), &kern, budget, EntryForm::Dense);
-        let before = mixed.resident_bytes();
-        for u in 1..=3 {
-            mixed.get_or_build(u, &pool(u), &kern, budget, EntryForm::Factor);
-        }
-        assert_eq!(mixed.len(), 4, "dense + 3 factor fit the 2-dense budget");
-        assert_eq!(
-            mixed.resident_bytes(),
-            before + 3 * entry_bytes(EntryForm::Factor, 20, kern.dim())
-        );
     }
 
     #[test]
     fn zero_budget_disables_caching() {
         let kern = kernel();
         let mut cache = KernelCache::default();
-        let (_, hit1) = cache.get_or_build(0, &[1, 2], &kern, 0, EntryForm::Dense);
-        let (_, hit2) = cache.get_or_build(0, &[1, 2], &kern, 0, EntryForm::Dense);
+        let (_, hit1) = cache.get_or_build(0, &[1, 2], &kern, 0);
+        let (_, hit2) = cache.get_or_build(0, &[1, 2], &kern, 0);
         assert!(!hit1 && !hit2);
         assert_eq!(cache.len(), 0);
         // Deliberate bypasses must not read as misses in hit-rate stats.
@@ -385,18 +282,18 @@ mod tests {
         let big = dense_budget(4, 2);
         let small = dense_budget(1, 2);
         for u in 0..4 {
-            cache.get_or_build(u, &[u, u + 1], &kern, big, EntryForm::Dense);
+            cache.get_or_build(u, &[u, u + 1], &kern, big);
         }
         assert_eq!(cache.len(), 4);
         // Budget lowered between calls: the next access (here a hit on
         // user 3) must evict down to the new bound, keeping the hit entry.
-        let (_, hit) = cache.get_or_build(3, &[3, 4], &kern, small, EntryForm::Dense);
+        let (_, hit) = cache.get_or_build(3, &[3, 4], &kern, small);
         assert!(hit, "the touched entry survives the shrink");
         assert_eq!(cache.len(), 1, "cache must come down to budget");
         // And a miss-path access under the lowered bound also stays bounded.
-        cache.get_or_build(7, &[7, 8], &kern, small, EntryForm::Dense);
+        cache.get_or_build(7, &[7, 8], &kern, small);
         assert_eq!(cache.len(), 1);
-        let (_, hit7) = cache.get_or_build(7, &[7, 8], &kern, small, EntryForm::Dense);
+        let (_, hit7) = cache.get_or_build(7, &[7, 8], &kern, small);
         assert!(hit7, "the freshly inserted entry is the resident one");
     }
 
@@ -410,12 +307,12 @@ mod tests {
         let mut cache = KernelCache::default();
         let big = dense_budget(256, 1);
         for u in 0..256 {
-            cache.get_or_build(u, &[u], &kern, big, EntryForm::Dense);
+            cache.get_or_build(u, &[u], &kern, big);
         }
         assert_eq!(cache.len(), 256);
         // The shrink happens on the next access; touch user 255 (a hit, so
         // it carries the newest tick) under the new bound.
-        let (_, hit) = cache.get_or_build(255, &[255], &kern, dense_budget(4, 1), EntryForm::Dense);
+        let (_, hit) = cache.get_or_build(255, &[255], &kern, dense_budget(4, 1));
         assert!(hit);
         assert_eq!(cache.len(), 4);
         // Survivors: the 4 newest ticks = users 253, 254, 255 (touched
@@ -445,12 +342,12 @@ mod tests {
         let kern = kernel();
         let mut cache = KernelCache::default();
         let tiny = 16; // smaller than any entry
-        let (_, hit) = cache.get_or_build(0, &[1, 2, 3], &kern, tiny, EntryForm::Dense);
+        let (_, hit) = cache.get_or_build(0, &[1, 2, 3], &kern, tiny);
         assert!(!hit);
         assert_eq!(cache.len(), 1);
-        let (_, hit0) = cache.get_or_build(0, &[1, 2, 3], &kern, tiny, EntryForm::Dense);
+        let (_, hit0) = cache.get_or_build(0, &[1, 2, 3], &kern, tiny);
         assert!(hit0, "sole oversized entry still serves hits");
-        cache.get_or_build(1, &[4, 5, 6], &kern, tiny, EntryForm::Dense);
+        cache.get_or_build(1, &[4, 5, 6], &kern, tiny);
         assert_eq!(cache.len(), 1, "newest entry displaced the oversized one");
         assert!(cache.contains(1));
     }
@@ -460,12 +357,12 @@ mod tests {
         let kern = kernel();
         let mut cache = KernelCache::default();
         let budget = dense_budget(4, 2);
-        cache.get_or_build(0, &[1, 2], &kern, budget, EntryForm::Dense);
+        cache.get_or_build(0, &[1, 2], &kern, budget);
         assert_eq!(cache.len(), 1);
-        cache.get_or_build(0, &[1, 2], &kern, 0, EntryForm::Dense);
+        cache.get_or_build(0, &[1, 2], &kern, 0);
         assert_eq!(cache.len(), 0, "disabled cache must not retain entries");
         // Re-enabling starts cold.
-        let (_, hit) = cache.get_or_build(0, &[1, 2], &kern, budget, EntryForm::Dense);
+        let (_, hit) = cache.get_or_build(0, &[1, 2], &kern, budget);
         assert!(!hit);
     }
 
@@ -474,23 +371,23 @@ mod tests {
         let kern = kernel();
         let mut cache = KernelCache::default();
         let budget = dense_budget(4, 2);
-        assert!(cache.prewarm(3, &[1, 4], &kern, budget, EntryForm::Dense));
+        assert!(cache.prewarm(3, &[1, 4], &kern, budget));
         // Re-prewarming a resident pair reports it warm without a second
         // assembly, and a resident user is never overwritten by a
         // different pool.
-        assert!(cache.prewarm(3, &[1, 4], &kern, budget, EntryForm::Dense));
-        assert!(!cache.prewarm(3, &[2, 6], &kern, budget, EntryForm::Dense));
+        assert!(cache.prewarm(3, &[1, 4], &kern, budget));
+        assert!(!cache.prewarm(3, &[2, 6], &kern, budget));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
         assert_eq!(stats.prewarmed, 1);
         // Traffic on the prewarmed pair is a pure hit.
-        let (m, hit) = cache.get_or_build(3, &[1, 4], &kern, budget, EntryForm::Dense);
+        let (m, hit) = cache.get_or_build(3, &[1, 4], &kern, budget);
         assert!(hit);
         assert_eq!(m.as_slice(), kern.submatrix(&[1, 4]).unwrap().as_slice());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
         // Disabled cache ignores prewarm.
-        assert!(!cache.prewarm(9, &[2], &kern, 0, EntryForm::Dense));
+        assert!(!cache.prewarm(9, &[2], &kern, 0));
     }
 
     #[test]
@@ -501,26 +398,29 @@ mod tests {
         let mut cache = KernelCache::default();
         let budget = dense_budget(3, 2);
         let warmed = (0..8)
-            .filter(|&u| cache.prewarm(u, &[u, u + 1], &kern, budget, EntryForm::Dense))
+            .filter(|&u| cache.prewarm(u, &[u, u + 1], &kern, budget))
             .count();
         assert_eq!(warmed, 3, "only the first `budget / entry` pairs fit");
         assert_eq!(cache.len(), 3);
         for u in 0..3 {
-            let (_, hit) = cache.get_or_build(u, &[u, u + 1], &kern, budget, EntryForm::Dense);
+            let (_, hit) = cache.get_or_build(u, &[u, u + 1], &kern, budget);
             assert!(hit, "accepted pair {u} must keep its first-request hit");
         }
     }
 
     #[test]
     fn prewarm_refusal_is_sized_before_assembly() {
-        // A factor prewarm fits where a dense one refuses: the byte check
-        // uses the prospective entry's form.
+        // The byte check sizes the prospective entry before assembling it:
+        // one byte-element short of a 20-candidate entry refuses, the exact
+        // size accepts.
         let kern = kernel();
-        let mut cache = KernelCache::default();
         let cands: Vec<usize> = (0..20).collect();
-        let budget = entry_bytes(EntryForm::Factor, 20, kern.dim()) + 8;
-        assert!(!cache.prewarm(0, &cands, &kern, budget, EntryForm::Dense));
-        assert!(cache.prewarm(0, &cands, &kern, budget, EntryForm::Factor));
-        assert_eq!(cache.len(), 1);
+        let mut short = KernelCache::default();
+        assert!(!short.prewarm(0, &cands, &kern, entry_bytes(20) - 8));
+        assert_eq!(short.len(), 0);
+        let mut exact = KernelCache::default();
+        assert!(exact.prewarm(0, &cands, &kern, entry_bytes(20)));
+        assert_eq!(exact.len(), 1);
+        assert_eq!(exact.stats().resident_bytes, entry_bytes(20));
     }
 }

@@ -1,8 +1,8 @@
 //! The batched ranker: requests in, diversified top-N lists out.
 
-use crate::cache::{CacheEntry, CacheStats, EntryForm, KernelCache, WorkerCacheStats};
-use crate::{KernelForm, RankingArtifact, ServeConfig};
-use lkp_dpp::{greedy_map_dual_with, greedy_map_with, DualMapWorkspace, MapWorkspace};
+use crate::cache::{CacheEntry, CacheStats, KernelCache, WorkerCacheStats};
+use crate::{RankingArtifact, ServeConfig};
+use lkp_dpp::{greedy_map_with, MapWorkspace};
 use lkp_linalg::Matrix;
 use lkp_models::Recommender;
 use lkp_runtime::WorkerPool;
@@ -99,8 +99,8 @@ pub struct RankResponse {
     pub items: Vec<usize>,
     /// `log det(L_S)` of the selected set under the tailored kernel.
     pub log_det: f64,
-    /// Whether the kernel block (`K_C` or `V_C`) came from the serving
-    /// worker's kernel cache.
+    /// Whether the diversity block `K_C` came from the serving worker's
+    /// kernel cache.
     pub cache_hit: bool,
     /// What happened to the request (served / invalid / failed / panicked /
     /// expired).
@@ -125,15 +125,6 @@ pub struct ServeWorkspace {
     l: Matrix,
     map: MapWorkspace,
     cache: KernelCache,
-    /// Factor rows `V_C` for the dual path: the degraded-head gather target
-    /// and the dense-fallback re-gather.
-    vc: Matrix,
-    /// The dual factor `B = Diag(q)·V_C` fed to the dual MAP.
-    b: Matrix,
-    dual_map: DualMapWorkspace,
-    /// Requests this worker abandoned to the dense fallback after a dual
-    /// numerical breakdown.
-    dual_fallbacks: u64,
     /// Duplicate-candidate scratch: index permutation sorted by
     /// `(item, position)`, per-position duplicate mask, and the rebuilt
     /// first-occurrence list when duplicates are present.
@@ -178,8 +169,8 @@ pub struct StagedSwap<M> {
 impl<M: Recommender> StagedSwap<M> {
     /// Stages `artifact` with `plan`'s `(user, candidate-set)` pairs
     /// prewarmed into a fresh template cache. The config must be the
-    /// serving ranker's own (capacity and kernel form decide what is
-    /// staged); plan pairs follow the same validation, dedup, and
+    /// serving ranker's own (its byte budget decides what is staged); plan
+    /// pairs follow the same validation, dedup, and
     /// monotone-fill rules as [`Ranker::prewarm`].
     pub fn prepare(
         config: &ServeConfig,
@@ -312,9 +303,8 @@ impl<M: Recommender + Sync> Ranker<M> {
 
     /// Builds popular `(user, candidates)` pairs into the kernel cache
     /// before traffic, so their first request already hits. Candidate lists
-    /// are deduplicated exactly like the serving path, and each entry is
-    /// built in the form the serving path will look up
-    /// ([`ServeConfig::kernel_form`]); pairs with unknown users or
+    /// are deduplicated exactly like the serving path, so each entry is the
+    /// block the serving path will look up; pairs with unknown users or
     /// out-of-catalog items are skipped, and a disabled cache
     /// (`kernel_cache_bytes = 0`) warms nothing.
     ///
@@ -379,23 +369,6 @@ impl<M: Recommender + Sync> Ranker<M> {
         self.cache_stats_detailed().aggregate.bypasses
     }
 
-    /// How many requests fell back from the dual MAP path to the dense one
-    /// after a numerical breakdown (summed across workers; always 0 in
-    /// [`KernelForm::Dense`] mode). Fallback responses are bit-identical to
-    /// what dense-mode serving would have produced, so a non-zero count is
-    /// a performance signal, not a correctness one.
-    pub fn dual_fallbacks(&mut self) -> u64 {
-        // The caller is worker 0, so `run` also covers the un-batched
-        // `rank_one` path (which serves from the caller's state).
-        let count = std::sync::atomic::AtomicU64::new(0);
-        self.pool.run(|_, state| {
-            if let Some(ws) = state.get_mut::<ServeWorkspace>() {
-                count.fetch_add(ws.dual_fallbacks, Ordering::Relaxed);
-            }
-        });
-        count.into_inner()
-    }
-
     /// Full per-worker + aggregate kernel-cache counters: `per_worker[i]`
     /// is worker `i`'s cache (a worker that never served a request reports
     /// a zero row — the read uses the pool's optional-state accessor and
@@ -433,17 +406,8 @@ impl<M> std::fmt::Debug for Ranker<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ranker")
             .field("threads", &self.pool.threads())
-            .field("kernel_form", &self.config.kernel_form)
             .field("generation", &self.generation)
             .finish()
-    }
-}
-
-/// Which cache-entry/kernel form the configured [`KernelForm`] selects.
-fn entry_form(config: &ServeConfig) -> EntryForm {
-    match config.kernel_form {
-        KernelForm::Dense => EntryForm::Dense,
-        KernelForm::LowRankDual => EntryForm::Factor,
     }
 }
 
@@ -466,7 +430,6 @@ fn prewarm_into<M: Recommender>(
     blocks: &[OnceLock<CacheEntry>],
 ) -> usize {
     let budget = config.kernel_cache_bytes;
-    let form = entry_form(config);
     let kernel = artifact.kernel();
     let mut warmed = 0;
     for ((user, candidates), block) in plan.iter().zip(blocks) {
@@ -477,40 +440,15 @@ fn prewarm_into<M: Recommender>(
         let fill = |entry: &mut CacheEntry| {
             entry.clone_from(block.get_or_init(|| {
                 let mut built = CacheEntry::empty();
-                built.fill(key, kernel, form, 0);
+                built.fill(key, kernel, 0);
                 built
             }));
         };
-        if ws
-            .cache
-            .prewarm_with(*user, key, kernel.dim(), budget, form, fill)
-        {
+        if ws.cache.prewarm_with(*user, key, budget, fill) {
             warmed += 1;
         }
     }
     warmed
-}
-
-/// Assembles the tailored dense kernel `L = Diag(q)·K_C·Diag(q) + ε·I` into
-/// `l` from factor rows `vc` (`m × d`), computing each `K_C` entry as the
-/// factor-row dot product. This is bit-identical to assembling from a
-/// materialized `K_C` block ([`lkp_dpp::LowRankKernel::submatrix_into`]
-/// computes the same dot on the same rows), which makes the dual path's
-/// dense *fallback* indistinguishable from dense-mode serving.
-fn tailored_from_factor(vc: &Matrix, q: &[f64], jitter: f64, l: &mut Matrix) {
-    let m = vc.rows();
-    l.reset(m, m);
-    for i in 0..m {
-        let qi = q[i];
-        l[(i, i)] = qi * lkp_linalg::ops::dot(vc.row(i), vc.row(i)) * qi + jitter;
-        for j in (i + 1)..m {
-            let qj = q[j];
-            let kij = lkp_linalg::ops::dot(vc.row(i), vc.row(j));
-            let avg = 0.5 * (qi * kij * qj + qj * kij * qi);
-            l[(i, j)] = avg;
-            l[(j, i)] = avg;
-        }
-    }
 }
 
 /// Whether a prewarm pair is servable (mirrors `serve_one`'s validation).
@@ -679,106 +617,40 @@ fn serve_one<M: Recommender>(
     let k = req.top_n.min(m);
     let budget = config.kernel_cache_bytes;
 
-    if entry_form(config) == EntryForm::Factor {
-        // Dual path: fetch the factor rows V_C (cached per user, or
-        // gathered directly for a degraded head), scale into
-        // B = Diag(q)·V_C, and run greedy MAP against B·Bᵀ without ever
-        // materializing L_C — O(m·N·(d + N)) instead of O(m²·d) assembly.
-        let (v_c, hit): (&Matrix, bool) = if degraded {
-            artifact
-                .kernel()
-                .gather_rows_into(cands_used, &mut ws.vc)
-                .expect("candidates validated above");
-            (&ws.vc, false)
-        } else {
-            ws.cache.get_or_build(
-                req.user,
-                cands_used,
-                artifact.kernel(),
-                budget,
-                EntryForm::Factor,
-            )
-        };
-        resp.cache_hit = hit;
-        let d = v_c.cols();
-        ws.b.reset(m, d);
-        for (i, &qi) in q_used.iter().enumerate() {
-            for (o, &v) in ws.b.row_mut(i).iter_mut().zip(v_c.row(i)) {
-                *o = qi * v;
-            }
-        }
-        ws.dual_map.guard = config.dual_guard;
-        match greedy_map_dual_with(&ws.b, config.jitter, k, &mut ws.dual_map) {
-            Ok(()) => {
-                if !ws.dual_map.log_det().is_finite() {
-                    resp.items.clear();
-                    resp.outcome = RankOutcome::Failed;
-                    return;
-                }
-                resp.items
-                    .extend(ws.dual_map.items().iter().map(|&idx| cands_used[idx]));
-                resp.log_det = ws.dual_map.log_det();
-                return;
-            }
-            Err(_) => {
-                // Numerical breakdown: abandon the dual recursion for this
-                // request and serve it on the dense path. L is assembled
-                // from freshly gathered factor rows with the dense path's
-                // exact arithmetic, so the fallback response is
-                // bit-identical to dense-mode serving (the factor cache
-                // entry, if any, stays resident — the kernel didn't change,
-                // the recursion did).
-                ws.dual_fallbacks += 1;
-                artifact
-                    .kernel()
-                    .gather_rows_into(cands_used, &mut ws.vc)
-                    .expect("candidates validated above");
-                tailored_from_factor(&ws.vc, q_used, config.jitter, &mut ws.l);
-            }
-        }
+    // Diversity submatrix K_C (cached per user in the worker's cache; built
+    // directly for a degraded head), then the tailored kernel
+    // L = Diag(q)·K_C·Diag(q) + ε·I assembled into the reused buffer. The
+    // off-diagonal entries average the two factorization orders — the same
+    // arithmetic as `DppKernel::from_quality_diversity` + `symmetrize` — so
+    // the serve-side kernel matches the offline
+    // `lkp_core::objective::tailored_kernel` bit for bit, not merely up to
+    // round-off. The cache stores bit-exact copies of what a miss
+    // recomputes, so a hit can never change a served list.
+    let (k_sub, hit): (&Matrix, bool) = if degraded {
+        artifact
+            .kernel()
+            .submatrix_into(cands_used, &mut ws.head_sub)
+            .expect("candidates validated above");
+        (&ws.head_sub, false)
     } else {
-        // Dense path: diversity submatrix K_C (cached per user in the
-        // worker's cache; built directly for a degraded head), then the
-        // tailored kernel L = Diag(q)·K_C·Diag(q) + ε·I assembled into the
-        // reused buffer.
-        // The off-diagonal entries average the two factorization orders —
-        // the same arithmetic as `DppKernel::from_quality_diversity` +
-        // `symmetrize` — so the serve-side kernel matches the offline
-        // `lkp_core::objective::tailored_kernel` bit for bit, not merely up
-        // to round-off. The cache stores bit-exact copies of what a miss
-        // recomputes, so a hit can never change a served list.
-        let (k_sub, hit): (&Matrix, bool) = if degraded {
-            artifact
-                .kernel()
-                .submatrix_into(cands_used, &mut ws.head_sub)
-                .expect("candidates validated above");
-            (&ws.head_sub, false)
-        } else {
-            ws.cache.get_or_build(
-                req.user,
-                cands_used,
-                artifact.kernel(),
-                budget,
-                EntryForm::Dense,
-            )
-        };
-        resp.cache_hit = hit;
-        ws.l.reset(m, m);
-        for i in 0..m {
-            let qi = q_used[i];
-            ws.l[(i, i)] = qi * k_sub[(i, i)] * qi + config.jitter;
-            for j in (i + 1)..m {
-                let qj = q_used[j];
-                let kij = k_sub[(i, j)];
-                let avg = 0.5 * (qi * kij * qj + qj * kij * qi);
-                ws.l[(i, j)] = avg;
-                ws.l[(j, i)] = avg;
-            }
+        ws.cache
+            .get_or_build(req.user, cands_used, artifact.kernel(), budget)
+    };
+    resp.cache_hit = hit;
+    ws.l.reset(m, m);
+    for i in 0..m {
+        let qi = q_used[i];
+        ws.l[(i, i)] = qi * k_sub[(i, i)] * qi + config.jitter;
+        for j in (i + 1)..m {
+            let qj = q_used[j];
+            let kij = k_sub[(i, j)];
+            let avg = 0.5 * (qi * kij * qj + qj * kij * qi);
+            ws.l[(i, j)] = avg;
+            ws.l[(j, i)] = avg;
         }
     }
 
-    // Dense greedy MAP under the tailored kernel — the dense path and the
-    // dual path's breakdown fallback both land here; selection order is the
+    // Dense greedy MAP under the tailored kernel; selection order is the
     // list. A factorization error or a non-finite objective (a
     // NaN/degenerate diversity block) fails this request only.
     if greedy_map_with(&ws.l, k, &mut ws.map).is_err() {
@@ -836,18 +708,13 @@ mod tests {
             2
         );
         let budget = config.kernel_cache_bytes;
-        let form = entry_form(&config);
         for (user, candidates) in &plan[..2] {
             let fresh = kernel.submatrix(candidates).unwrap();
-            let (got, hit) = second
-                .cache
-                .get_or_build(*user, candidates, kernel, budget, form);
+            let (got, hit) = second.cache.get_or_build(*user, candidates, kernel, budget);
             assert!(hit, "user {user} prewarmed");
             let marked: Vec<f64> = fresh.as_slice().iter().map(|x| -x).collect();
             assert_eq!(got.as_slice(), &marked[..], "user {user} cloned");
-            let (own, _) = first
-                .cache
-                .get_or_build(*user, candidates, kernel, budget, form);
+            let (own, _) = first.cache.get_or_build(*user, candidates, kernel, budget);
             assert_eq!(
                 own.as_slice(),
                 fresh.as_slice(),

@@ -1,8 +1,7 @@
 //! Asserts the serving warm path performs **zero heap allocations** per
 //! batch: once the kernel cache holds every requested `(user, candidates)`
 //! block and the reused response buffers have grown to steady-state size,
-//! `rank_batch_into` must not touch the allocator — on the dense path and
-//! on the low-rank dual path.
+//! `rank_batch_into` must not touch the allocator.
 //!
 //! This is the serving-side complement of `crates/core/tests/alloc_free.rs`
 //! (training) and the dynamic complement of the static `hotpath-alloc` lint
@@ -16,7 +15,7 @@ use lkp_data::{Dataset, SyntheticConfig};
 use lkp_dpp::LowRankKernel;
 use lkp_models::MatrixFactorization;
 use lkp_nn::AdamConfig;
-use lkp_serve::{KernelForm, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig};
+use lkp_serve::{RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -134,8 +133,8 @@ fn dedup(mut xs: Vec<usize>) -> Vec<usize> {
     xs
 }
 
-/// Warm-path zero-allocation assertion for one kernel form.
-fn assert_warm_path_alloc_free(form: KernelForm, label: &str) {
+#[test]
+fn warm_dense_serving_does_not_allocate() {
     let _serial = serial();
     let data = data();
     let (model, kernel) = trained(&data);
@@ -145,7 +144,6 @@ fn assert_warm_path_alloc_free(form: KernelForm, label: &str) {
         RankingArtifact::snapshot(&model, &kernel),
         ServeConfig {
             threads: 1,
-            kernel_form: form,
             ..Default::default()
         },
     );
@@ -164,24 +162,10 @@ fn assert_warm_path_alloc_free(form: KernelForm, label: &str) {
         ranker.rank_batch_into(&reqs, &mut out);
     }
     let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "{label}: warm serving batches must not allocate"
-    );
+    assert_eq!(after - before, 0, "warm serving batches must not allocate");
 
     // The alloc-free batches must still serve the exact same lists.
     for (resp, want) in out.iter().zip(&reference) {
-        assert_eq!(&resp.items, want, "{label}: warm result drifted");
+        assert_eq!(&resp.items, want, "warm result drifted");
     }
-}
-
-#[test]
-fn warm_dense_serving_does_not_allocate() {
-    assert_warm_path_alloc_free(KernelForm::Dense, "dense");
-}
-
-#[test]
-fn warm_dual_serving_does_not_allocate() {
-    assert_warm_path_alloc_free(KernelForm::LowRankDual, "low-rank dual");
 }

@@ -8,7 +8,7 @@ use lkp_data::{Dataset, SyntheticConfig};
 use lkp_dpp::{map, DppKernel, LowRankKernel};
 use lkp_models::{MatrixFactorization, Recommender};
 use lkp_nn::AdamConfig;
-use lkp_serve::{KernelForm, RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig};
+use lkp_serve::{RankRequest, RankResponse, Ranker, RankingArtifact, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -127,8 +127,7 @@ fn served_lists_match_offline_greedy_map() {
 
     // Small pools (|C| ≤ 12) against the slow references: determinant
     // greedy recomputed from scratch each step, and exhaustive MAP. Covers
-    // both kernel forms, a degraded rerank head, and the dual path's
-    // injected-breakdown dense fallback.
+    // the full pool and a degraded rerank head.
     let n_items = data.n_items();
     let small: Vec<RankRequest> = (0..data.n_users())
         .step_by(3)
@@ -140,22 +139,11 @@ fn served_lists_match_offline_greedy_map() {
             })
         })
         .collect();
-    let dual = KernelForm::LowRankDual;
-    let guard = lkp_dpp::DUAL_BREAKDOWN_GUARD;
-    let cases = [
-        ("dense", KernelForm::Dense, guard, 0),
-        ("dual", dual, guard, 0),
-        ("dense head", KernelForm::Dense, guard, 6),
-        ("dual head", dual, guard, 6),
-        ("dual fallback", dual, -1.0, 0),
-    ];
-    for (label, kernel_form, dual_guard, head) in cases {
+    for (label, head) in [("full pool", 0), ("head", 6)] {
         let mut ranker = Ranker::new(
             RankingArtifact::snapshot(&model, &kernel),
             ServeConfig {
                 threads: 2,
-                kernel_form,
-                dual_guard,
                 ..Default::default()
             },
         );
@@ -166,9 +154,6 @@ fn served_lists_match_offline_greedy_map() {
         let responses = ranker.rank_batch(&reqs);
         for (req, resp) in reqs.iter().zip(&responses) {
             check_against_slow_references(&model, &kernel, req, resp, label);
-        }
-        if dual_guard < 0.0 {
-            assert_eq!(ranker.dual_fallbacks(), reqs.len() as u64, "{label}");
         }
     }
 }
